@@ -33,19 +33,12 @@ model, trace = nn.train(X, y, split, nn.TrainConfig(epochs=30, seed=1), dsp_conf
 print(f"trained: final test accuracy {trace.test_accuracy[-1]:.3f}")
 
 print("\nscoring sessions 3..7:")
-reports = []
-marked = []
-for session, severity in severity_by_session.items():
-    frags = corpus.collect_session_fragments(manifest, "P001", session, cfg)
-    report = scoring.score_session(model, frags, "P001", session)
-    reports.append(report)
-    for syllable, mark in corpus.expert_marks(manifest, "P001", session).items():
-        if syllable in report.syllable_scores:
-            marked.append((report.syllable_scores[syllable], mark))
-    print(f"  session {session}: severity {severity:.1f} -> Q = {report.session_score:.3f}")
+pairs = [("P001", session) for session in severity_by_session]
+grid = scoring.score_sessions(model, manifest, pairs, expert_marks=True)
+for report in grid.reports:
+    severity = severity_by_session[report.session_index]
+    print(f"  session {report.session_index}: severity {severity:.1f} -> Q = {report.session_score:.3f}")
 
-correlation = scoring.pearson([s for s, _ in marked], [m for _, m in marked])
-grid = scoring.ScoreGrid(reports=reports, expert_correlation=correlation)
 print("\n" + scoring.to_text(grid))
 print("\nQ falls monotonically with severity, and the continuous scores agree")
 print("strongly with the binary expert rule -- the membership probability is")

@@ -64,6 +64,8 @@ def read_wav(path, expected_rate_hz=None):
         )
     if n_frames == 0:
         raise AudioFormatError(f"{path}: file contains no samples")
+    if len(raw) % samp_width:
+        raise AudioFormatError(f"{path}: data chunk is truncated mid-sample ({len(raw)} bytes)")
     pcm = np.frombuffer(raw, dtype="<i2")
     return SampleBuffer(pcm.astype(np.float64) / _READ_SCALE, rate)
 

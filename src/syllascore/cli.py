@@ -30,8 +30,6 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_DEGENERATE = 5
 
-logger = logging.getLogger(__name__)
-
 
 def _fail_usage(message):
     print(f"error: {message}", file=sys.stderr)
@@ -164,6 +162,7 @@ def cmd_eval(args):
         X, y, groups = corpus.collect_training_fragments(sub, model.dsp_config)
         split = _split_for(split_by, groups, y, ratio, seed)
         reports.append(scoring.evaluate(model, X, y, split, cohort=str(cohort)))
+        del X  # the next cohort's fragments are collected without this stack held
     _emit(scoring.render(reports if len(reports) > 1 else reports[0], args.format), args.out)
     return EXIT_OK
 
@@ -178,43 +177,8 @@ def cmd_score(args):
         except ValueError:
             return _fail_usage("--sessions must be a comma-separated list of integers")
         pairs = [p for p in pairs if p[1] in wanted]
-    if not pairs:
-        raise EmptySession("no rehabilitation sessions (index >= 3) to score")
-    reports = []
-    skipped = []
-    marked_scores = []
-    for patient_id, session_index in pairs:
-        frags = corpus.collect_session_fragments(manifest, patient_id, session_index, model.dsp_config)
-        try:
-            report = scoring.score_session(model, frags, patient_id=patient_id,
-                                           session_index=session_index,
-                                           fragment_mean=args.fragment_mean)
-        except EmptySession:
-            logger.warning("session %s of patient %s has no fragments; skipped",
-                           session_index, patient_id)
-            skipped.append((patient_id, session_index))
-            continue
-        reports.append(report)
-        if args.expert_marks:
-            marks = corpus.expert_marks(manifest, patient_id, session_index)
-            for syllable_id, mark in marks.items():
-                if syllable_id in report.syllable_scores:
-                    marked_scores.append((report.syllable_scores[syllable_id], mark))
-    if not reports:
-        raise EmptySession("every requested session gated away to nothing")
-    correlation = None
-    if args.expert_marks:
-        if len(marked_scores) >= 3:
-            xs = [s for s, _ in marked_scores]
-            ys = [m for _, m in marked_scores]
-            try:
-                correlation = scoring.pearson(xs, ys)
-            except DegenerateInput as exc:
-                logger.warning("expert-mark correlation not computed: %s", exc)
-        else:
-            logger.warning("fewer than 3 expert-marked syllables; correlation not computed")
-    grid = scoring.ScoreGrid(reports=reports, expert_correlation=correlation,
-                             skipped_sessions=skipped)
+    grid = scoring.score_sessions(model, manifest, pairs, fragment_mean=args.fragment_mean,
+                                  expert_marks=args.expert_marks)
     _emit(scoring.render(grid, args.format), args.out)
     return EXIT_OK
 
@@ -222,7 +186,7 @@ def cmd_score(args):
 def cmd_report(args):
     try:
         report = scoring.from_json(Path(args.input).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json.loads refuses deep nesting
         raise ParseError(f"{args.input}: not a report document ({exc})") from exc
     _emit(scoring.render(report, args.format), args.out)
     return EXIT_OK

@@ -119,10 +119,6 @@ class SplitAssignment:
     test_indices: np.ndarray
     seed: int
 
-    @property
-    def n_total(self):
-        return self.train_indices.size + self.test_indices.size
-
 
 def _parse_optional_binary(field, what, lineno):
     if field == "":

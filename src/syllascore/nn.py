@@ -24,7 +24,7 @@ probability (1 = pre-operation reference class).
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -82,15 +82,7 @@ class Architecture:
         return sum(int(np.prod(shape)) for _, shape in self.layout())
 
     def to_dict(self):
-        return {
-            "input_steps": self.input_steps,
-            "input_dim": self.input_dim,
-            "lstm1_units": self.lstm1_units,
-            "lstm2_units": self.lstm2_units,
-            "dense1_units": self.dense1_units,
-            "dense2_units": self.dense2_units,
-            "output_units": self.output_units,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -227,6 +219,11 @@ class Model:
             raise ValueError("parameters contain non-finite values")
         if (self.input_mean is None) != (self.input_std is None):
             raise ValueError("input_mean and input_std must be given together")
+        if self.input_mean is not None and not (
+                all(s.shape == (self.arch.input_dim,) and np.all(np.isfinite(s))
+                    for s in (self.input_mean, self.input_std))
+                and np.all(self.input_std > 0)):
+            raise ValueError(f"standardization needs {self.arch.input_dim} finite means and stds > 0")
 
     @classmethod
     def zeros(cls, arch, **kwargs):
@@ -241,15 +238,7 @@ class Model:
 
 def forward(model, fragment):
     """Class-membership probability in [0, 1] for one fragment."""
-    fragment = np.asarray(fragment, dtype=np.float64)
-    if fragment.shape != (model.arch.input_steps, model.arch.input_dim):
-        raise ShapeMismatch(
-            f"fragment shape {fragment.shape} != "
-            f"({model.arch.input_steps}, {model.arch.input_dim})"
-        )
-    views = _views(model.arch, model.params)
-    p, _ = _forward_full(model.arch, views, fragment[None])
-    return float(p[0])
+    return float(forward_batch(model, np.asarray(fragment)[None])[0])
 
 
 def forward_batch(model, X, chunk=512):
@@ -264,12 +253,7 @@ def forward_batch(model, X, chunk=512):
 
 
 def bce_loss(p, y):
-    """Binary cross-entropy with probabilities clamped to [1e-7, 1 - 1e-7]."""
-    pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-(y * np.log(pt) + (1.0 - y) * np.log(1.0 - pt)))
-
-
-def _bce_vector(p, y):
+    """Elementwise binary cross-entropy, probabilities clamped to [1e-7, 1 - 1e-7]."""
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return -(y * np.log(pt) + (1.0 - y) * np.log(1.0 - pt))
 
@@ -280,7 +264,7 @@ def _grad(arch, params, X, y):
     views = _views(arch, params)
     p, cache = _forward_full(arch, views, X, want_cache=True)
     states1, cache1, cache2, h_last, a1, a2, z3 = cache
-    loss = float(np.mean(_bce_vector(p, y)))
+    loss = float(np.mean(bce_loss(p, y)))
 
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     inside_clamp = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
@@ -374,10 +358,10 @@ class TrainConfig:
 class TrainTrace:
     """Per-epoch loss and accuracy on the train and test splits."""
 
-    train_loss: list = field(default_factory=list)
-    train_accuracy: list = field(default_factory=list)
-    test_loss: list = field(default_factory=list)
-    test_accuracy: list = field(default_factory=list)
+    train_loss: list[float] = field(default_factory=list)
+    train_accuracy: list[float] = field(default_factory=list)
+    test_loss: list[float] = field(default_factory=list)
+    test_accuracy: list[float] = field(default_factory=list)
 
     @property
     def n_epochs(self):
@@ -387,16 +371,11 @@ class TrainTrace:
         return list(zip(self.train_loss, self.train_accuracy, self.test_loss, self.test_accuracy))
 
 
-def _metrics(arch, params, X, y):
-    views = _views(arch, params)
-    losses = np.empty(X.shape[0])
-    hits = np.empty(X.shape[0], dtype=bool)
-    for start in range(0, X.shape[0], 512):
-        p, _ = _forward_full(arch, views, X[start : start + 512])
-        ys = y[start : start + 512]
-        losses[start : start + 512] = _bce_vector(p, ys)
-        hits[start : start + 512] = (p >= 0.5) == (ys == 1.0)
-    return float(losses.mean()), float(hits.mean())
+def _metrics(model, X, y):
+    if X.shape[0] == 0:
+        return float("nan"), float("nan")
+    p = forward_batch(model, X)
+    return float(bce_loss(p, y).mean()), float(((p >= 0.5) == (y == 1.0)).mean())
 
 
 def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, extra_meta=None):
@@ -431,6 +410,7 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
 
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
+    current = Model(arch, params)  # shares params, which adam_step updates in place
     state = AdamState.zeros(arch.param_count)
     trace = TrainTrace()
 
@@ -447,13 +427,10 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
             adam_step(params, grad, state,
                       lr=config.learning_rate, beta1=config.adam_beta1,
                       beta2=config.adam_beta2, eps=config.adam_eps)
-        loss, acc = _metrics(arch, params, X_train, y_train)
+        loss, acc = _metrics(current, X_train, y_train)
         trace.train_loss.append(loss)
         trace.train_accuracy.append(acc)
-        if X_test.shape[0]:
-            loss, acc = _metrics(arch, params, X_test, y_test)
-        else:
-            loss, acc = float("nan"), float("nan")
+        loss, acc = _metrics(current, X_test, y_test)
         trace.test_loss.append(loss)
         trace.test_accuracy.append(acc)
 
@@ -530,13 +507,11 @@ def load_model(path):
         params = np.frombuffer(bytes.fromhex(doc["parameters_hex"]), dtype="<f4").astype(np.float64)
         dsp_config = DspConfig.from_dict(doc["dsp"])
         stats = doc["standardize"]
-        meta = doc["train_meta"]
-    except (KeyError, TypeError, ValueError) as exc:
+        mean = std = None
+        if stats is not None:
+            mean = np.asarray(stats["mean"], dtype=np.float64)
+            std = np.asarray(stats["std"], dtype=np.float64)
+        return Model(arch, params, dsp_config, input_mean=mean, input_std=std,
+                     train_meta=doc["train_meta"])
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptFile(f"{path}: malformed field ({exc})") from exc
-    if params.size != arch.param_count:
-        raise CorruptFile(f"{path}: parameter count {params.size} != {arch.param_count}")
-    mean = std = None
-    if stats is not None:
-        mean = np.asarray(stats["mean"], dtype=np.float64)
-        std = np.asarray(stats["std"], dtype=np.float64)
-    return Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)

@@ -10,13 +10,16 @@ the fixed threshold p >= 0.5 -> class 1.
 import csv
 import io
 import json
+import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import nn
+from . import corpus, nn
 from .errors import DegenerateInput, EmptySession, EmptySplit
+
+logger = logging.getLogger(__name__)
 
 PREDICT_THRESHOLD = 0.5
 
@@ -27,12 +30,16 @@ class ScoreReport:
 
     patient_id: str
     session_index: int
-    fragment_scores: dict  # syllable_id -> list of per-fragment probabilities
-    syllable_scores: dict  # syllable_id -> mean of its fragments
+    fragment_scores: dict[str, list[float]]  # syllable_id -> per-fragment probabilities
+    syllable_scores: dict[str, float]  # syllable_id -> mean of its fragments
     session_score: float
     n_fragments: int
     n_syllables: int
-    missing_syllables: list = field(default_factory=list)
+    missing_syllables: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.syllable_scores.keys() <= self.fragment_scores.keys():
+            raise ValueError("every scored syllable needs its fragment scores")
 
 
 @dataclass
@@ -44,8 +51,17 @@ class EvalReport:
     n_test: int
     train_accuracy: float
     test_accuracy: float
-    train_per_class: dict  # "0"/"1" -> accuracy on that class (None if absent)
-    test_per_class: dict
+    train_per_class: dict[str, Optional[float]]  # "0"/"1" -> accuracy on that class (None if absent)
+    test_per_class: dict[str, Optional[float]]
+
+
+@dataclass
+class ScoreGrid:
+    """Scores for several sessions, plus the optional expert-mark comparison."""
+
+    reports: list[ScoreReport]
+    expert_correlation: Optional[float] = None
+    skipped_sessions: list[tuple[str, int]] = field(default_factory=list)  # sessions with no fragments
 
 
 def score_session(model, fragments_by_syllable, patient_id="", session_index=0,
@@ -88,6 +104,42 @@ def score_session(model, fragments_by_syllable, patient_id="", session_index=0,
     )
 
 
+def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=False):
+    """Score (patient_id, session_index) pairs of a manifest into one grid.
+
+    Sessions that gate away are listed as skipped. expert_marks=True adds the
+    correlation of syllable scores with the manifest's expert marks, left None
+    (with a warning) under 3 marked syllables or for a constant side.
+    """
+    reports = []
+    skipped = []
+    marked = []  # (syllable score, expert mark)
+    for patient_id, session_index in pairs:
+        frags = corpus.collect_session_fragments(manifest, patient_id, session_index, model.dsp_config)
+        try:
+            report = score_session(model, frags, patient_id=patient_id, session_index=session_index,
+                                   fragment_mean=fragment_mean)
+        except EmptySession:
+            logger.warning("session %s of patient %s has no fragments; skipped",
+                           session_index, patient_id)
+            skipped.append((patient_id, session_index))
+            continue
+        reports.append(report)
+        if expert_marks:
+            for syllable_id, mark in corpus.expert_marks(manifest, patient_id, session_index).items():
+                if syllable_id in report.syllable_scores:
+                    marked.append((report.syllable_scores[syllable_id], mark))
+    if not reports:
+        raise EmptySession("no rehabilitation session (index >= 3) with fragments to score")
+    correlation = None
+    if expert_marks:
+        try:  # pearson refuses fewer than 3 marks (ValueError) and a constant side
+            correlation = pearson([s for s, _ in marked], [m for _, m in marked])
+        except (ValueError, DegenerateInput) as exc:
+            logger.warning("expert-mark correlation not computed: %s", exc)
+    return ScoreGrid(reports=reports, expert_correlation=correlation, skipped_sessions=skipped)
+
+
 def _per_class_accuracy(pred, y):
     out = {}
     for cls in (0, 1):
@@ -98,25 +150,19 @@ def _per_class_accuracy(pred, y):
 
 def evaluate(model, X, y, split, cohort="all"):
     """Accuracy over the train and test sides of a split assignment."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if split.test_indices.size == 0:
+    train, test = split.train_indices, split.test_indices
+    if test.size == 0:
         raise EmptySplit("test split is empty")
-    Xs = model.standardize(X)
-    sides = {}
-    for name, idx in (("train", split.train_indices), ("test", split.test_indices)):
-        p = nn.forward_batch(model, Xs[idx])
-        pred = (p >= PREDICT_THRESHOLD).astype(int)
-        ys = y[idx].astype(int)
-        sides[name] = (float(np.mean(pred == ys)), _per_class_accuracy(pred, ys))
+    pred = (nn.forward_batch(model, model.standardize(X)) >= PREDICT_THRESHOLD).astype(int)
+    y = np.asarray(y).astype(int)
     return EvalReport(
         cohort=str(cohort),
-        n_train=int(split.train_indices.size),
-        n_test=int(split.test_indices.size),
-        train_accuracy=sides["train"][0],
-        test_accuracy=sides["test"][0],
-        train_per_class=sides["train"][1],
-        test_per_class=sides["test"][1],
+        n_train=int(train.size),
+        n_test=int(test.size),
+        train_accuracy=float(np.mean(pred[train] == y[train])),
+        test_accuracy=float(np.mean(pred[test] == y[test])),
+        train_per_class=_per_class_accuracy(pred[train], y[train]),
+        test_per_class=_per_class_accuracy(pred[test], y[test]),
     )
 
 
@@ -155,68 +201,68 @@ def _trace_rows(trace):
     return header, rows
 
 
-@dataclass
-class ScoreGrid:
-    """Scores for several sessions, plus the optional expert-mark comparison."""
+# The "kind" tag of each report type in a json document. A non-empty list of
+# EvalReport (one per cohort) is the "eval_grid" document.
+_KINDS = {"score_report": ScoreReport, "eval_report": EvalReport,
+          "train_trace": nn.TrainTrace, "score_grid": ScoreGrid}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
-    reports: list  # of ScoreReport
-    expert_correlation: Optional[float] = None
-    skipped_sessions: list = field(default_factory=list)  # (patient, session) with no fragments
+
+def _doc_of(report):
+    """The json object of a report: its kind, then its fields in order."""
+    if isinstance(report, (list, tuple)) and all(isinstance(r, EvalReport) for r in report):
+        return {"kind": "eval_grid", "reports": list(report)}
+    if type(report) not in _KIND_OF:
+        raise TypeError(f"cannot render {type(report).__name__}")
+    return {"kind": _KIND_OF[type(report)], **vars(report)}
 
 
 def to_json(report):
     """Lossless JSON rendering of any report object."""
-    if isinstance(report, ScoreReport):
-        doc = {"kind": "score_report", **report.__dict__}
-    elif isinstance(report, EvalReport):
-        doc = {"kind": "eval_report", **report.__dict__}
-    elif isinstance(report, nn.TrainTrace):
-        doc = {
-            "kind": "train_trace",
-            "train_loss": report.train_loss,
-            "train_accuracy": report.train_accuracy,
-            "test_loss": report.test_loss,
-            "test_accuracy": report.test_accuracy,
-        }
-    elif isinstance(report, ScoreGrid):
-        doc = {
-            "kind": "score_grid",
-            "reports": [json.loads(to_json(r)) for r in report.reports],
-            "expert_correlation": report.expert_correlation,
-            "skipped_sessions": [list(pair) for pair in report.skipped_sessions],
-        }
-    elif isinstance(report, (list, tuple)):
-        doc = {"kind": "eval_grid", "reports": [json.loads(to_json(r)) for r in report]}
-    else:
-        raise TypeError(f"cannot render {type(report).__name__}")
-    return json.dumps(doc, indent=1)
+    return json.dumps(_doc_of(report), default=_doc_of, indent=1)
+
+
+def _decode(value, hint):
+    """A parsed json value checked against a type hint, reports and tuples rebuilt."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _KIND_OF and isinstance(value, dict) and value.get("kind") == _KIND_OF[hint]:
+        hints = get_type_hints(hint)
+        if value.keys() - {"kind"} != hints.keys():
+            raise ValueError(f"{_KIND_OF[hint]} has the fields {sorted(hints)}, got {sorted(value)}")
+        return hint(**{name: _decode(value[name], h) for name, h in hints.items()})
+    if origin is Union:  # Optional[...]
+        return None if value is None else _decode(value, args[0])
+    if origin is list and isinstance(value, list):
+        return [_decode(v, args[0]) for v in value]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_decode(v, a) for v, a in zip(value, args))
+    if origin is dict and isinstance(value, dict):
+        return {_decode(k, args[0]): _decode(v, args[1]) for k, v in value.items()}
+    if type(value) is hint:  # bool is not int here, and int is not float
+        if hint is str:
+            value.encode("utf-8")  # a lone surrogate cannot be written back out
+        return value
+    raise ValueError(f"expected {getattr(hint, '__name__', hint)}, got {value!r:.40}")
 
 
 def from_json(text):
-    """Parse a document produced by to_json back into its report object."""
+    """Parse a document produced by to_json back into its report object; any
+    other document, such as one with a missing, unknown or mistyped field, raises ValueError."""
     doc = json.loads(text)
-    kind = doc.pop("kind", None)
-    if kind == "score_report":
-        return ScoreReport(**doc)
-    if kind == "eval_report":
-        return EvalReport(**doc)
-    if kind == "train_trace":
-        return nn.TrainTrace(**doc)
-    if kind == "eval_grid":
-        return [from_json(json.dumps(r)) for r in doc["reports"]]
-    if kind == "score_grid":
-        return ScoreGrid(
-            reports=[from_json(json.dumps(r)) for r in doc["reports"]],
-            expert_correlation=doc.get("expert_correlation"),
-            skipped_sessions=[tuple(pair) for pair in doc.get("skipped_sessions", [])],
-        )
-    raise ValueError(f"unknown report kind {kind!r}")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "eval_grid" and doc.keys() == {"kind", "reports"} and doc["reports"]:
+        return _decode(doc["reports"], list[EvalReport])
+    if isinstance(kind, str) and kind in _KINDS:
+        return _decode(doc, _KINDS[kind])
+    raise ValueError(f"not a report document (kind {kind!r:.40})")
 
 
 def to_csv(report):
     """CSV rendering; columns are documented in the README."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    if isinstance(report, EvalReport):
+        report = [report]
     if isinstance(report, nn.TrainTrace):
         header, rows = _trace_rows(report)
         writer.writerow(header)
@@ -229,10 +275,6 @@ def to_csv(report):
         for syllable_id, score in report.syllable_scores.items():
             writer.writerow(["syllable", report.patient_id, report.session_index, syllable_id, "", repr(score)])
         writer.writerow(["session", report.patient_id, report.session_index, "", "", repr(report.session_score)])
-    elif isinstance(report, EvalReport):
-        writer.writerow(["cohort", "n_train", "n_test", "train_accuracy", "test_accuracy"])
-        writer.writerow([report.cohort, report.n_train, report.n_test,
-                         repr(report.train_accuracy), repr(report.test_accuracy)])
     elif isinstance(report, ScoreGrid):
         writer.writerow(["patient_id", "session_index", "session_score", "n_syllables", "n_fragments"])
         for r in report.reports:

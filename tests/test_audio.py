@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -68,3 +69,14 @@ def test_buffer_validation():
         SampleBuffer(np.array([0.0, np.nan]), 16000)
     with pytest.raises(AudioFormatError):
         SampleBuffer(np.zeros(10) + 0.5, 0)
+
+
+def test_rejects_data_chunk_truncated_mid_sample(tmp_path):
+    # hand-built RIFF: the data chunk declares 5 samples, the file ends 5 bytes in
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 10) + b"\x01\x00\x02\x00\x03")
+    path = tmp_path / "truncated.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(AudioFormatError, match="truncated"):
+        read_wav(path)

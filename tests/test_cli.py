@@ -1,13 +1,19 @@
+import copy
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syllascore import scoring
+from syllascore import corpus, nn, scoring
 from syllascore.audio import SampleBuffer, write_wav
 from syllascore.cli import main
+from syllascore.dataset import load_manifest
+from test_scoring import _sample_eval_report, _sample_score_report
 
 
 def _silence_files(corpus_dir, session_index):
@@ -225,6 +231,85 @@ class TestScoreCommand:
                      "--manifest", str(corpus_dir / "manifest.txt")])
         assert code == 5
 
+    @pytest.mark.parametrize("stats", [
+        {"std": [1.0] * 513},  # no mean
+        {"mean": [0.0] * 5, "std": [1.0] * 5},  # 5 bins for a 513-bin model
+        {"mean": [0.0] * 513, "std": [0.0] * 513},  # would divide by zero
+    ], ids=["no_mean", "five_bins", "zero_std"])
+    def test_bad_standardization_stats_exit_three(self, cli_run, tmp_path, stats):
+        corpus_dir, model_path, _ = cli_run
+        doc = json.loads(model_path.read_text())
+        doc["standardize"] = stats
+        doc["checksum_sha256"] = nn._checksum(doc)  # a well-formed file, only the stats are bad
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, sort_keys=True))
+        assert main(["score", "--model", str(bad),
+                     "--manifest", str(corpus_dir / "manifest.txt")]) == 3
+
+
+class TestScoreSessions:
+    def test_same_grid_as_the_score_command(self, cli_run, tmp_path):
+        corpus_dir, model_path, _ = cli_run
+        out = tmp_path / "scores.json"
+        assert main(["score", "--model", str(model_path),
+                     "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--expert-marks", "--format", "json", "--out", str(out)]) == 0
+        manifest = load_manifest(corpus_dir / "manifest.txt")
+        grid = scoring.score_sessions(nn.load_model(model_path), manifest,
+                                      corpus.scoreable_sessions(manifest), expert_marks=True)
+        assert grid.expert_correlation is not None
+        assert scoring.to_json(grid) + "\n" == out.read_text()
+
+    def test_fewer_than_three_marks_give_no_correlation(self, cli_run):
+        corpus_dir, model_path, _ = cli_run
+        manifest = load_manifest(corpus_dir / "manifest.txt")
+        marked = [r for r in manifest.records if r.session_index == 3][:2]
+        records = tuple(r if r in marked else dataclasses.replace(r, expert_mark=None)
+                        for r in manifest.records)
+        grid = scoring.score_sessions(nn.load_model(model_path),
+                                      dataclasses.replace(manifest, records=records),
+                                      [("P001", 3), ("P001", 4)], expert_marks=True)
+        assert [r.session_index for r in grid.reports] == [3, 4]
+        assert grid.expert_correlation is None
+
+
+def _sample_documents():
+    """One json document of every report kind, as to_json writes them."""
+    score = _sample_score_report()
+    evals = [_sample_eval_report("all"), _sample_eval_report("sex:m")]
+    trace = nn.TrainTrace(train_loss=[0.5], train_accuracy=[1.0],
+                          test_loss=[float("nan")], test_accuracy=[float("nan")])
+    grid = scoring.ScoreGrid(reports=[score], expert_correlation=0.5, skipped_sessions=[("P", 5)])
+    return [json.loads(scoring.to_json(r)) for r in (score, evals[0], evals, trace, grid)]
+
+
+def _dicts(node):
+    """Every json object in a document, the document itself first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from _dicts(child)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("report")
+
+
+def _report_exit_code(report_dir, doc, fmt):
+    path = report_dir / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["report", "--in", str(path), "--format", fmt, "--out", str(report_dir / "out")])
+
 
 class TestReportCommand:
     def test_rerenders_json_document(self, cli_run, tmp_path):
@@ -244,6 +329,45 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "mystery"}))
         assert main(["report", "--in", str(bad)]) == 4
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"kind": "score_report", "bogus": 1}',
+        '{"kind": "eval_grid"}',
+        '{"kind": "eval_grid", "reports": []}',
+        '{"kind": ["score_report"]}',
+        '{"kind": "score_grid", "reports": [], "expert_correlation": "high", "skipped_sessions": []}',
+        '{"kind": "score_grid", "reports": [], "expert_correlation": null,'
+        ' "skipped_sessions": [["\\ud800", 3]]}',
+        "[" * 100000,
+    ], ids=["list", "unknown_field", "no_reports", "empty_grid", "list_kind", "mistyped_field",
+            "lone_surrogate", "deep_nesting"])
+    def test_malformed_document_exits_four(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "out.txt")]) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=JSON_VALUES | st.builds(lambda kind, rest: {**rest, "kind": kind},
+                                       st.sampled_from(["score_report", "eval_report", "eval_grid",
+                                                        "train_trace", "score_grid"]),
+                                       st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5)),
+           fmt=st.sampled_from(["text", "csv", "json"]))
+    def test_any_json_value_exits_zero_or_four(self, report_dir, doc, fmt):
+        assert _report_exit_code(report_dir, doc, fmt) in (0, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["text", "csv", "json"]))
+    def test_valid_document_with_a_key_dropped_or_added(self, report_dir, data, fmt):
+        doc = copy.deepcopy(data.draw(st.sampled_from(_sample_documents())))
+        assert _report_exit_code(report_dir, doc, fmt) == 0
+        target = data.draw(st.sampled_from(list(_dicts(doc))))
+        if target and data.draw(st.booleans()):
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        else:  # an existing name replaces that field's value
+            target[data.draw(st.text(max_size=6) | st.sampled_from(sorted(target) or ["kind"]))] = \
+                data.draw(JSON_VALUES)
+        assert _report_exit_code(report_dir, doc, fmt) in (0, 4)
 
     def test_missing_input_exits_three(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.json")]) == 3

@@ -144,6 +144,13 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             nn.forward_batch(model, np.zeros((3, 4, 3)))
 
+    def test_single_fragment_is_one_row_of_the_batch(self):
+        model = _random_model(TINY, 4, jitter=0.3)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            x = rng.normal(0, 2, (4, 2))
+            assert nn.forward(model, x) == nn.forward_batch(model, x[None])[0]
+
 
 class TestBceLoss:
     def test_values(self):
@@ -152,6 +159,8 @@ class TestBceLoss:
         assert nn.bce_loss(0.0, 1) == pytest.approx(-math.log(1e-7), rel=1e-12)
         assert nn.bce_loss(0.0, 1) == pytest.approx(16.118, abs=5e-3)
         assert nn.bce_loss(0.0, 0) == pytest.approx(-math.log(1 - 1e-7), rel=1e-12)
+        np.testing.assert_array_equal(nn.bce_loss(np.array([1.0, 0.5, 0.0]), np.array([1, 1, 0])),
+                                      [nn.bce_loss(1.0, 1), nn.bce_loss(0.5, 1), nn.bce_loss(0.0, 0)])
 
 
 class TestAdam:
