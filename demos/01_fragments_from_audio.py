@@ -36,18 +36,17 @@ print(f"  entry range [{compressed.frames.min():.2f}, {compressed.frames.max():.
       "(log10 units)")
 
 print("\nStage 4: slice into 8-frame fragments every", cfg.fragment_hop, "frames")
-fragments = dsp.slice_fragments(compressed, cfg, ("P001", 1, "s01"))
+fragments = dsp.slice_fragments(compressed, cfg)
 print(f"  -> {len(fragments)} fragments, each {fragments[0].values.shape}")
-print(f"  first fragment tagged {fragments[0].source}")
 
 print("\nThe composed pipeline gives the same result in one call:")
-same = dsp.pipeline(buf, cfg, ("P001", 1, "s01"))
+same = dsp.pipeline(buf, cfg)
 print(f"  pipeline(...) -> {len(same)} fragments, bit-identical:",
       all(np.array_equal(a.values, b.values) for a, b in zip(fragments, same)))
 
 print("\nA severely degraded rendition of the same syllable for contrast:")
 worst = synth_syllable(spec, "P001", 2, "s01", severity=1.0)
-worst_frags = dsp.pipeline(worst, cfg, ("P001", 2, "s01"))
+worst_frags = dsp.pipeline(worst, cfg)
 mean_clean = np.mean([f.values.mean() for f in same])
 mean_worst = np.mean([f.values.mean() for f in worst_frags])
 print(f"  mean log-magnitude: clean {mean_clean:.2f} vs degraded {mean_worst:.2f}")

@@ -15,8 +15,8 @@ from .dsp import (DspConfig, Fragment, Spectrogram, gate_silence, log_compress,
 from .nn import (AdamState, Architecture, Model, TrainConfig, TrainTrace,
                  adam_step, backward, bce_loss, forward, forward_batch,
                  hard_sigmoid, init_params, load_model, save_model, train)
-from .scoring import (EvalReport, ScoreGrid, ScoreReport, evaluate, pearson,
-                      render, score_session, score_sessions)
+from .scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
+                      pearson, render, score_session, score_sessions)
 from .synth import SynthSpec, generate_corpus, generate_trajectory, synth_syllable
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus, nn, scoring, synth
 from .dataset import (Cohort, filter_cohort, load_manifest, split_by_groups,
                       split_fragments)
-from .dsp import DspConfig
+from .dsp import FRAGMENT_FRAMES, N_BINS, DspConfig
 from .errors import (AudioFormatError, CorruptFile, DegenerateInput, EmptyCohort,
                      EmptySession, EmptySplit, ParseError, TooShort,
                      ValidationError, VersionMismatch)
@@ -82,18 +82,21 @@ def cmd_synth(args):
         severities = None
     if args.expert_marks and severities is None:
         return _fail_usage("--expert-marks requires --severities")
-    spec = synth.SynthSpec(
-        n_patients=args.patients,
-        syllables_per_set=args.syllables,
-        sample_rate_hz=args.sample_rate,
-        duration_s=args.duration,
-        formant_shift_hz=args.formant_shift,
-        tilt_db_per_octave=args.tilt,
-        snr_clean_db=args.snr_clean,
-        snr_worst_db=args.snr_worst,
-        articulation_spread=args.articulation_spread,
-        seed=args.seed,
-    )
+    try:
+        spec = synth.SynthSpec(
+            n_patients=args.patients,
+            syllables_per_set=args.syllables,
+            sample_rate_hz=args.sample_rate,
+            duration_s=args.duration,
+            formant_shift_hz=args.formant_shift,
+            tilt_db_per_octave=args.tilt,
+            snr_clean_db=args.snr_clean,
+            snr_worst_db=args.snr_worst,
+            articulation_spread=args.articulation_spread,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _fail_usage(exc)
     manifest = synth.generate_corpus(spec, args.out)
     n_files = len(manifest.records)
     if severities is not None:
@@ -112,21 +115,23 @@ def _split_for(args_split_by, groups, y, ratio, seed):
 
 
 def cmd_train(args):
+    if not 0.0 < args.split_ratio < 1.0:
+        return _fail_usage("--split-ratio must be in (0, 1)")
     try:
         cohort = Cohort.parse(args.cohort)
+        cfg = _dsp_from_args(args)
+        config = nn.TrainConfig(
+            learning_rate=args.learning_rate,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            seed=args.seed,
+            clip_norm=None if args.no_clip else 5.0,
+        )
     except ValueError as exc:
         return _fail_usage(exc)
-    cfg = _dsp_from_args(args)
     manifest = filter_cohort(load_manifest(args.manifest, drop_incomplete=args.drop_incomplete), cohort)
     X, y, groups = corpus.collect_training_fragments(manifest, cfg)
     split = _split_for(args.split_by, groups, y, args.split_ratio, args.seed)
-    config = nn.TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        clip_norm=None if args.no_clip else 5.0,
-    )
     model, trace = nn.train(
         X, y, split, config,
         dsp_config=cfg,
@@ -144,8 +149,18 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _load_model(path):
+    """A model file whose network reads the fragments the front end cuts."""
+    model = nn.load_model(path)
+    shape = (model.arch.input_steps, model.arch.input_dim)
+    if shape != (FRAGMENT_FRAMES, N_BINS):
+        raise CorruptFile(f"{path}: the model reads {shape[0]}x{shape[1]} inputs, "
+                          f"not {FRAGMENT_FRAMES}x{N_BINS} fragments")
+    return model
+
+
 def cmd_eval(args):
-    model = nn.load_model(args.model)
+    model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
     meta = model.train_meta or {}
     cohort_texts = args.cohort or [meta.get("cohort", "all")]
@@ -163,12 +178,13 @@ def cmd_eval(args):
         split = _split_for(split_by, groups, y, ratio, seed)
         reports.append(scoring.evaluate(model, X, y, split, cohort=str(cohort)))
         del X  # the next cohort's fragments are collected without this stack held
-    _emit(scoring.render(reports if len(reports) > 1 else reports[0], args.format), args.out)
+    report = scoring.EvalGrid(reports) if len(reports) > 1 else reports[0]
+    _emit(scoring.render(report, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_score(args):
-    model = nn.load_model(args.model)
+    model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
     pairs = corpus.scoreable_sessions(manifest, args.patient)
     if args.sessions:

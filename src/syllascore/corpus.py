@@ -23,7 +23,7 @@ def _sorted_records(manifest, sessions):
 
 def _record_fragments(manifest, rec, cfg):
     buf = read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz)
-    return pipeline(buf, cfg, (rec.patient_id, rec.session_index, rec.syllable_id))
+    return pipeline(buf, cfg)
 
 
 def collect_training_fragments(manifest, cfg):

@@ -191,7 +191,7 @@ def _check_files(records, root):
             raise ValidationError(f"record {rec.key()}: audio file {full} does not exist")
 
 
-def load_manifest(path, drop_incomplete=False, check_files=True):
+def load_manifest(path, drop_incomplete=False):
     """Parse and validate a manifest file.
 
     Patients whose session 1 and session 2 syllable sets disagree are a
@@ -245,8 +245,7 @@ def load_manifest(path, drop_incomplete=False, check_files=True):
         records = [r for r in records if r.patient_id not in dropped]
         patient_sex = {p: s for p, s in patient_sex.items() if p not in dropped}
     root = path.parent
-    if check_files:
-        _check_files(records, root)
+    _check_files(records, root)
     return Manifest(tuple(records), sample_rate, patient_sex, root)
 
 

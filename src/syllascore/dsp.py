@@ -53,8 +53,8 @@ class DspConfig:
             raise ValueError(f"unknown window {self.window!r}")
         if not 0.0 < self.gate_ratio < 1.0:
             raise ValueError("gate_ratio must be in (0, 1)")
-        if self.log_floor <= 0.0:
-            raise ValueError("log_floor must be positive")
+        if not 0.0 < self.log_floor < np.inf:
+            raise ValueError("log_floor must be positive and finite")
         if self.fragment_hop < 1:
             raise ValueError("fragment_hop must be >= 1")
 
@@ -84,10 +84,9 @@ class Spectrogram:
 
 @dataclass(frozen=True)
 class Fragment:
-    """One 8x513 network input, tagged with where it came from."""
+    """One 8x513 network input."""
 
     values: np.ndarray
-    source: tuple  # (patient_id, session_index, syllable_id, fragment_index)
 
     def __post_init__(self):
         if self.values.shape != (FRAGMENT_FRAMES, N_BINS):
@@ -138,24 +137,17 @@ def log_compress(spec: Spectrogram, cfg: DspConfig) -> Spectrogram:
     return Spectrogram(np.log10(spec.frames + cfg.log_floor), spec.hop)
 
 
-def slice_fragments(spec: Spectrogram, cfg: DspConfig, source_tag=("", 0, "")) -> list:
+def slice_fragments(spec: Spectrogram, cfg: DspConfig) -> list:
     """Cut 8-frame windows every fragment_hop frames; a short tail is dropped.
 
     Yields max(0, floor((T - 8) / fragment_hop) + 1) fragments for T >= 8,
     none otherwise.
     """
-    patient_id, session_index, syllable_id = source_tag
-    out = []
-    t = spec.n_frames
-    if t < FRAGMENT_FRAMES:
-        return out
-    for k, start in enumerate(range(0, t - FRAGMENT_FRAMES + 1, cfg.fragment_hop)):
-        values = np.array(spec.frames[start : start + FRAGMENT_FRAMES], copy=True)
-        out.append(Fragment(values, (patient_id, session_index, syllable_id, k)))
-    return out
+    return [Fragment(np.array(spec.frames[start : start + FRAGMENT_FRAMES], copy=True))
+            for start in range(0, spec.n_frames - FRAGMENT_FRAMES + 1, cfg.fragment_hop)]
 
 
-def pipeline(buf: SampleBuffer, cfg: DspConfig, source_tag=("", 0, "")) -> list:
+def pipeline(buf: SampleBuffer, cfg: DspConfig) -> list:
     """Full front end: STFT, silence gate, optional log compression, slicing.
 
     Returns an empty list when gating removes everything (pure silence) or
@@ -165,4 +157,4 @@ def pipeline(buf: SampleBuffer, cfg: DspConfig, source_tag=("", 0, "")) -> list:
     spec = gate_silence(stft_magnitude(buf, cfg), cfg)
     if cfg.use_log:
         spec = log_compress(spec, cfg)
-    return slice_fragments(spec, cfg, source_tag)
+    return slice_fragments(spec, cfg)

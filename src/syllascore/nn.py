@@ -35,6 +35,9 @@ from .dsp import DspConfig, FRAGMENT_FRAMES, N_BINS
 from .errors import CorruptFile, DegenerateInput, ShapeMismatch, VersionMismatch
 
 BCE_EPS = 1e-7
+PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+FORWARD_CHUNK = 512  # fragments per forward call; bounds the LSTM state arrays
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
 
@@ -102,7 +105,7 @@ def _views(arch, flat):
     return out
 
 
-def init_params(arch, rng, forget_bias=1.0):
+def init_params(arch, rng):
     """Glorot-uniform weight matrices, zero biases, LSTM forget-gate bias 1."""
     flat = np.zeros(arch.param_count)
     views = _views(arch, flat)
@@ -113,7 +116,7 @@ def init_params(arch, rng, forget_bias=1.0):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         views[name][...] = rng.uniform(-bound, bound, size=shape)
     for name, units in (("lstm1.b", arch.lstm1_units), ("lstm2.b", arch.lstm2_units)):
-        views[name][units : 2 * units] = forget_bias
+        views[name][units : 2 * units] = 1.0
     return flat
 
 
@@ -241,14 +244,14 @@ def forward(model, fragment):
     return float(forward_batch(model, np.asarray(fragment)[None])[0])
 
 
-def forward_batch(model, X, chunk=512):
+def forward_batch(model, X):
     """Vector of probabilities for a (N, steps, input_dim) fragment stack."""
     X = _check_batch(model.arch, X)
     views = _views(model.arch, model.params)
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        p, _ = _forward_full(model.arch, views, X[start : start + chunk])
-        out[start : start + chunk] = p
+    for start in range(0, X.shape[0], FORWARD_CHUNK):
+        p, _ = _forward_full(model.arch, views, X[start : start + FORWARD_CHUNK])
+        out[start : start + FORWARD_CHUNK] = p
     return out
 
 
@@ -319,39 +322,34 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr=1e-3):
     """One Adam update with bias correction; mutates params and state."""
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grads
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
     clip_norm: Optional[float] = 5.0  # None disables gradient clipping
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ValueError("rates must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must be in (0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
+            raise ValueError("clip_norm must be positive and finite, or None")
 
 
 @dataclass
@@ -375,7 +373,7 @@ def _metrics(model, X, y):
     if X.shape[0] == 0:
         return float("nan"), float("nan")
     p = forward_batch(model, X)
-    return float(bce_loss(p, y).mean()), float(((p >= 0.5) == (y == 1.0)).mean())
+    return float(bce_loss(p, y).mean()), float(((p >= PREDICT_THRESHOLD) == (y == 1.0)).mean())
 
 
 def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, extra_meta=None):
@@ -424,9 +422,7 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
                 norm = float(np.linalg.norm(grad))
                 if norm > config.clip_norm:
                     grad *= config.clip_norm / norm
-            adam_step(params, grad, state,
-                      lr=config.learning_rate, beta1=config.adam_beta1,
-                      beta2=config.adam_beta2, eps=config.adam_eps)
+            adam_step(params, grad, state, lr=config.learning_rate)
         loss, acc = _metrics(current, X_train, y_train)
         trace.train_loss.append(loss)
         trace.train_accuracy.append(acc)
@@ -486,6 +482,15 @@ def save_model(model, path):
     path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
+# The train_meta fields that eval reads back, with the values it can use.
+_META_CHECKS = {
+    "split_ratio": lambda v: type(v) is float and 0.0 < v < 1.0,
+    "split_seed": lambda v: type(v) is int and v >= 0,
+    "split_by": lambda v: v in ("fragment", "syllable"),
+    "cohort": lambda v: type(v) is str,
+}
+
+
 def load_model(path):
     """Read a model file back; checksum and version are verified."""
     path = Path(path)
@@ -511,7 +516,10 @@ def load_model(path):
         if stats is not None:
             mean = np.asarray(stats["mean"], dtype=np.float64)
             std = np.asarray(stats["std"], dtype=np.float64)
-        return Model(arch, params, dsp_config, input_mean=mean, input_std=std,
-                     train_meta=doc["train_meta"])
+        meta = doc["train_meta"]
+        if meta is not None and not (isinstance(meta, dict) and
+                                     all(ok(meta[k]) for k, ok in _META_CHECKS.items() if k in meta)):
+            raise ValueError("train_meta is not an object of valid split settings")
+        return Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)
     except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptFile(f"{path}: malformed field ({exc})") from exc

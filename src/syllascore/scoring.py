@@ -21,8 +21,6 @@ from .errors import DegenerateInput, EmptySession, EmptySplit
 
 logger = logging.getLogger(__name__)
 
-PREDICT_THRESHOLD = 0.5
-
 
 @dataclass
 class ScoreReport:
@@ -53,6 +51,17 @@ class EvalReport:
     test_accuracy: float
     train_per_class: dict[str, Optional[float]]  # "0"/"1" -> accuracy on that class (None if absent)
     test_per_class: dict[str, Optional[float]]
+
+
+@dataclass
+class EvalGrid:
+    """Evaluation reports for several cohorts, one row each."""
+
+    reports: list[EvalReport]
+
+    def __post_init__(self):
+        if not self.reports:
+            raise ValueError("an eval grid needs at least one report")
 
 
 @dataclass
@@ -153,7 +162,7 @@ def evaluate(model, X, y, split, cohort="all"):
     train, test = split.train_indices, split.test_indices
     if test.size == 0:
         raise EmptySplit("test split is empty")
-    pred = (nn.forward_batch(model, model.standardize(X)) >= PREDICT_THRESHOLD).astype(int)
+    pred = (nn.forward_batch(model, model.standardize(X)) >= nn.PREDICT_THRESHOLD).astype(int)
     y = np.asarray(y).astype(int)
     return EvalReport(
         cohort=str(cohort),
@@ -192,26 +201,85 @@ def pearson(xs, ys):
 # Report rendering: text for humans, csv/json for machines.
 # --------------------------------------------------------------------------
 
-def _trace_rows(trace):
-    header = ["epoch", "train_loss", "train_accuracy", "test_loss", "test_accuracy"]
-    rows = [
-        [e + 1, tl, ta, vl, va]
-        for e, (tl, ta, vl, va) in enumerate(trace.rows())
-    ]
-    return header, rows
+def _score_report_csv(r):
+    key = [r.patient_id, r.session_index]
+    rows = [["level", "patient_id", "session_index", "syllable_id", "fragment_index", "score"]]
+    rows += [["fragment", *key, syllable_id, k, repr(p)]
+             for syllable_id, scores in r.fragment_scores.items() for k, p in enumerate(scores)]
+    rows += [["syllable", *key, syllable_id, "", repr(score)]
+             for syllable_id, score in r.syllable_scores.items()]
+    return rows + [["session", *key, "", "", repr(r.session_score)]]
 
 
-# The "kind" tag of each report type in a json document. A non-empty list of
-# EvalReport (one per cohort) is the "eval_grid" document.
-_KINDS = {"score_report": ScoreReport, "eval_report": EvalReport,
-          "train_trace": nn.TrainTrace, "score_grid": ScoreGrid}
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+def _score_report_text(r):
+    lines = [f"patient {r.patient_id}  session {r.session_index}"]
+    for syllable_id, score in r.syllable_scores.items():
+        n = len(r.fragment_scores[syllable_id])
+        lines.append(f"  {syllable_id:<12} {score:8.4f}  ({n} fragments)")
+    for syllable_id in r.missing_syllables:
+        lines.append(f"  {syllable_id:<12}  missing (no fragments after gating)")
+    return lines + [f"  session score Q = {r.session_score:.4f} over {r.n_syllables} syllables"]
+
+
+def _eval_csv(reports):
+    return [["cohort", "n_train", "n_test", "train_accuracy", "test_accuracy"]] + [
+        [r.cohort, r.n_train, r.n_test, repr(r.train_accuracy), repr(r.test_accuracy)] for r in reports]
+
+
+def _eval_text(reports):
+    width = max(12, *(len(r.cohort) for r in reports)) + 2
+    return [f"{'cohort':<{width}}{'train':>9}{'test':>9}{'n_train':>9}{'n_test':>8}"] + [
+        f"{r.cohort:<{width}}{r.train_accuracy:>9.3f}{r.test_accuracy:>9.3f}{r.n_train:>9}{r.n_test:>8}"
+        for r in reports]
+
+
+_TRACE_COLUMNS = ["epoch", "train_loss", "train_accuracy", "test_loss", "test_accuracy"]
+
+
+def _trace_csv(trace):
+    return [_TRACE_COLUMNS] + [[e + 1, *map(repr, row)] for e, row in enumerate(trace.rows())]
+
+
+def _trace_text(trace):
+    h = _TRACE_COLUMNS
+    return [f"{h[0]:>6} {h[1]:>12} {h[2]:>15} {h[3]:>12} {h[4]:>14}"] + [
+        f"{e + 1:>6} {tl:>12.5f} {ta:>15.4f} {vl:>12.5f} {va:>14.4f}"
+        for e, (tl, ta, vl, va) in enumerate(trace.rows())]
+
+
+def _score_grid_csv(grid):
+    return [["patient_id", "session_index", "session_score", "n_syllables", "n_fragments"]] + [
+        [r.patient_id, r.session_index, repr(r.session_score), r.n_syllables, r.n_fragments]
+        for r in grid.reports]
+
+
+def _score_grid_text(grid):
+    lines = [f"{'patient':<10}{'session':>8}{'score Q':>10}{'syllables':>11}{'fragments':>11}"]
+    for r in grid.reports:
+        lines.append(f"{r.patient_id:<10}{r.session_index:>8}{r.session_score:>10.4f}"
+                     f"{r.n_syllables:>11}{r.n_fragments:>11}")
+    for patient_id, session_index in grid.skipped_sessions:
+        lines.append(f"{patient_id:<10}{session_index:>8}   missing (no fragments)")
+    if grid.expert_correlation is not None:
+        lines.append(f"correlation with expert marks: {grid.expert_correlation:.4f}")
+    return lines
+
+
+# Every report kind, by its "kind" tag in a json document: (its type, its csv
+# rows with the header first, its lines of text). A lone EvalReport renders
+# as a one-row grid.
+_KINDS = {
+    "score_report": (ScoreReport, _score_report_csv, _score_report_text),
+    "eval_report": (EvalReport, lambda r: _eval_csv([r]), lambda r: _eval_text([r])),
+    "eval_grid": (EvalGrid, lambda g: _eval_csv(g.reports), lambda g: _eval_text(g.reports)),
+    "train_trace": (nn.TrainTrace, _trace_csv, _trace_text),
+    "score_grid": (ScoreGrid, _score_grid_csv, _score_grid_text),
+}
+_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items()}
 
 
 def _doc_of(report):
     """The json object of a report: its kind, then its fields in order."""
-    if isinstance(report, (list, tuple)) and all(isinstance(r, EvalReport) for r in report):
-        return {"kind": "eval_grid", "reports": list(report)}
     if type(report) not in _KIND_OF:
         raise TypeError(f"cannot render {type(report).__name__}")
     return {"kind": _KIND_OF[type(report)], **vars(report)}
@@ -250,91 +318,27 @@ def from_json(text):
     other document, such as one with a missing, unknown or mistyped field, raises ValueError."""
     doc = json.loads(text)
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "eval_grid" and doc.keys() == {"kind", "reports"} and doc["reports"]:
-        return _decode(doc["reports"], list[EvalReport])
-    if isinstance(kind, str) and kind in _KINDS:
-        return _decode(doc, _KINDS[kind])
-    raise ValueError(f"not a report document (kind {kind!r:.40})")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(f"not a report document (kind {kind!r:.40})")
+    return _decode(doc, _KINDS[kind][0])
 
 
 def to_csv(report):
     """CSV rendering; columns are documented in the README."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(report, EvalReport):
-        report = [report]
-    if isinstance(report, nn.TrainTrace):
-        header, rows = _trace_rows(report)
-        writer.writerow(header)
-        writer.writerows([[row[0]] + [repr(v) for v in row[1:]] for row in rows])
-    elif isinstance(report, ScoreReport):
-        writer.writerow(["level", "patient_id", "session_index", "syllable_id", "fragment_index", "score"])
-        for syllable_id, scores in report.fragment_scores.items():
-            for k, p in enumerate(scores):
-                writer.writerow(["fragment", report.patient_id, report.session_index, syllable_id, k, repr(p)])
-        for syllable_id, score in report.syllable_scores.items():
-            writer.writerow(["syllable", report.patient_id, report.session_index, syllable_id, "", repr(score)])
-        writer.writerow(["session", report.patient_id, report.session_index, "", "", repr(report.session_score)])
-    elif isinstance(report, ScoreGrid):
-        writer.writerow(["patient_id", "session_index", "session_score", "n_syllables", "n_fragments"])
-        for r in report.reports:
-            writer.writerow([r.patient_id, r.session_index, repr(r.session_score),
-                             r.n_syllables, r.n_fragments])
-    elif isinstance(report, (list, tuple)) and all(isinstance(r, EvalReport) for r in report):
-        writer.writerow(["cohort", "n_train", "n_test", "train_accuracy", "test_accuracy"])
-        for r in report:
-            writer.writerow([r.cohort, r.n_train, r.n_test, repr(r.train_accuracy), repr(r.test_accuracy)])
-    else:
-        raise TypeError(f"cannot render {type(report).__name__}")
+    csv.writer(buf, lineterminator="\n").writerows(_KINDS[_doc_of(report)["kind"]][1](report))
     return buf.getvalue()
 
 
 def to_text(report):
     """Human-readable rendering."""
-    if isinstance(report, ScoreReport):
-        lines = [f"patient {report.patient_id}  session {report.session_index}"]
-        for syllable_id, score in report.syllable_scores.items():
-            n = len(report.fragment_scores[syllable_id])
-            lines.append(f"  {syllable_id:<12} {score:8.4f}  ({n} fragments)")
-        for syllable_id in report.missing_syllables:
-            lines.append(f"  {syllable_id:<12}  missing (no fragments after gating)")
-        lines.append(f"  session score Q = {report.session_score:.4f} over {report.n_syllables} syllables")
-        return "\n".join(lines)
-    if isinstance(report, EvalReport):
-        return to_text([report])
-    if isinstance(report, ScoreGrid):
-        lines = [f"{'patient':<10}{'session':>8}{'score Q':>10}{'syllables':>11}{'fragments':>11}"]
-        for r in report.reports:
-            lines.append(f"{r.patient_id:<10}{r.session_index:>8}{r.session_score:>10.4f}"
-                         f"{r.n_syllables:>11}{r.n_fragments:>11}")
-        for patient_id, session_index in report.skipped_sessions:
-            lines.append(f"{patient_id:<10}{session_index:>8}   missing (no fragments)")
-        if report.expert_correlation is not None:
-            lines.append(f"correlation with expert marks: {report.expert_correlation:.4f}")
-        return "\n".join(lines)
-    if isinstance(report, (list, tuple)) and all(isinstance(r, EvalReport) for r in report):
-        width = max(12, *(len(r.cohort) for r in report)) + 2
-        lines = [f"{'cohort':<{width}}{'train':>9}{'test':>9}{'n_train':>9}{'n_test':>8}"]
-        for r in report:
-            lines.append(
-                f"{r.cohort:<{width}}{r.train_accuracy:>9.3f}{r.test_accuracy:>9.3f}"
-                f"{r.n_train:>9}{r.n_test:>8}"
-            )
-        return "\n".join(lines)
-    if isinstance(report, nn.TrainTrace):
-        header, rows = _trace_rows(report)
-        lines = [f"{header[0]:>6} {header[1]:>12} {header[2]:>15} {header[3]:>12} {header[4]:>14}"]
-        for row in rows:
-            lines.append(f"{row[0]:>6} {row[1]:>12.5f} {row[2]:>15.4f} {row[3]:>12.5f} {row[4]:>14.4f}")
-        return "\n".join(lines)
-    raise TypeError(f"cannot render {type(report).__name__}")
+    return "\n".join(_KINDS[_doc_of(report)["kind"]][2](report))
+
+
+_RENDERERS = {"json": to_json, "csv": to_csv, "text": to_text}
 
 
 def render(report, fmt):
-    if fmt == "json":
-        return to_json(report)
-    if fmt == "csv":
-        return to_csv(report)
-    if fmt == "text":
-        return to_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _RENDERERS[fmt](report)

@@ -60,6 +60,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        floats = (self.duration_s, self.f0_min_hz, self.f0_max_hz, self.formant_shift_hz,
+                  self.tilt_db_per_octave, self.snr_clean_db, self.snr_worst_db, self.articulation_spread)
+        if not np.all(np.isfinite(floats)):
+            raise ValueError("synthesis parameters must be finite")
         if self.n_patients < 1 or self.syllables_per_set < 1:
             raise ValueError("need at least one patient and one syllable")
         if self.sample_rate_hz < 8000:

@@ -65,6 +65,34 @@ class TestParsing:
         assert code == 2
 
 
+BAD_VALUES = [
+    ["synth", "--articulation-spread", "0.5"],
+    ["synth", "--patients", "0"],
+    ["synth", "--duration", "nan"],
+    ["train", "--hop", "0"],
+    ["train", "--gate-ratio", "2"],
+    ["train", "--split-ratio", "1.5"],
+    ["train", "--split-ratio", "nan"],
+    ["train", "--epochs", "0"],
+    ["train", "--learning-rate", "nan"],
+    ["train", "--log-floor", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=[f"{c}{flag}={v}" for c, flag, v in BAD_VALUES])
+def test_bad_flag_value_exits_two(cli_run, tmp_path, capsys, argv):
+    corpus_dir, _, _ = cli_run
+    if argv[0] == "synth":
+        base = ["synth", "--out", str(tmp_path / "c"), "--syllables", "2", "--duration", "0.5"]
+    else:
+        base = ["train", "--manifest", str(corpus_dir / "manifest.txt"),
+                "--model-out", str(tmp_path / "m.json"), "--epochs", "1"]
+    assert main(base + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "c").exists() and not (tmp_path / "m.json").exists()
+
+
 class TestSynthCommand:
     def test_seed_reproduces_identical_tree(self, tmp_path):
         for sub in ("a", "b"):
@@ -247,6 +275,33 @@ class TestScoreCommand:
                      "--manifest", str(corpus_dir / "manifest.txt")]) == 3
 
 
+class TestModelFile:
+    @pytest.mark.parametrize("meta", [
+        [1], "all",
+        {"split_ratio": "0.8"}, {"split_ratio": 1.5}, {"split_seed": 0.5}, {"split_seed": -1},
+        {"split_by": "recording"}, {"cohort": 3},
+    ], ids=["list", "string", "ratio_string", "ratio_above_one", "seed_float", "seed_negative",
+            "unknown_split_by", "cohort_number"])
+    def test_malformed_train_meta_exits_three(self, cli_run, tmp_path, meta):
+        corpus_dir, model_path, _ = cli_run
+        doc = json.loads(model_path.read_text())
+        doc["train_meta"] = {**doc["train_meta"], **meta} if isinstance(meta, dict) else meta
+        doc["checksum_sha256"] = nn._checksum(doc)  # a well-formed file, only train_meta is bad
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, sort_keys=True))
+        assert main(["eval", "--model", str(bad),
+                     "--manifest", str(corpus_dir / "manifest.txt")]) == 3
+
+    @pytest.mark.parametrize("command", ["eval", "score"])
+    def test_model_for_other_inputs_exits_three(self, cli_run, tmp_path, capsys, command):
+        corpus_dir, _, _ = cli_run
+        path = tmp_path / "wide.json"
+        nn.save_model(nn.Model.zeros(nn.Architecture(input_dim=100)), path)
+        assert main([command, "--model", str(path),
+                     "--manifest", str(corpus_dir / "manifest.txt")]) == 3
+        assert "8x513" in capsys.readouterr().err
+
+
 class TestScoreSessions:
     def test_same_grid_as_the_score_command(self, cli_run, tmp_path):
         corpus_dir, model_path, _ = cli_run
@@ -276,11 +331,11 @@ class TestScoreSessions:
 def _sample_documents():
     """One json document of every report kind, as to_json writes them."""
     score = _sample_score_report()
-    evals = [_sample_eval_report("all"), _sample_eval_report("sex:m")]
+    evals = scoring.EvalGrid([_sample_eval_report("all"), _sample_eval_report("sex:m")])
     trace = nn.TrainTrace(train_loss=[0.5], train_accuracy=[1.0],
                           test_loss=[float("nan")], test_accuracy=[float("nan")])
     grid = scoring.ScoreGrid(reports=[score], expert_correlation=0.5, skipped_sessions=[("P", 5)])
-    return [json.loads(scoring.to_json(r)) for r in (score, evals[0], evals, trace, grid)]
+    return [json.loads(scoring.to_json(r)) for r in (score, evals.reports[0], evals, trace, grid)]
 
 
 def _dicts(node):

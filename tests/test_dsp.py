@@ -142,7 +142,6 @@ class TestSliceFragments:
         assert len(frags) == 2
         np.testing.assert_array_equal(frags[0].values[:, 0], np.arange(8))
         np.testing.assert_array_equal(frags[1].values[:, 0], np.arange(8, 16))
-        assert frags[1].source[-1] == 1
 
     def test_below_minimum(self):
         assert slice_fragments(self._spec(7), DspConfig()) == []
@@ -166,7 +165,7 @@ class TestPipeline:
         # non-overlapping slicing gives (59 - 8) // 8 + 1 = 7 fragments
         t = np.arange(FS) / FS
         x = 0.5 * np.sin(2 * np.pi * 220 * t) + 0.2 * np.sin(2 * np.pi * 700 * t)
-        frags = pipeline(_buf(x), DspConfig(), ("p", 1, "a"))
+        frags = pipeline(_buf(x), DspConfig())
         assert len(frags) == 7
         for f in frags:
             assert f.values.shape == (8, 513)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from syllascore import nn, scoring
 from syllascore.dataset import SplitAssignment
 from syllascore.errors import DegenerateInput, EmptySession, EmptySplit
 from syllascore.nn import TrainTrace
-from syllascore.scoring import (EvalReport, ScoreGrid, ScoreReport, evaluate,
+from syllascore.scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
                                 pearson, score_session)
 
 TINY = nn.Architecture(input_steps=4, input_dim=2, lstm1_units=2, lstm2_units=2,
@@ -182,7 +184,7 @@ class TestRendering:
         grid = ScoreGrid(reports=[_sample_score_report()], expert_correlation=0.8625,
                          skipped_sessions=[("P", 5)])
         assert scoring.from_json(scoring.to_json(grid)) == grid
-        evals = [_sample_eval_report("all"), _sample_eval_report("sex:m")]
+        evals = EvalGrid([_sample_eval_report("all"), _sample_eval_report("sex:m")])
         assert scoring.from_json(scoring.to_json(evals)) == evals
 
     def test_json_floats_survive_17_digits(self):
@@ -200,8 +202,8 @@ class TestRendering:
         assert len(lines) == 1 + 7
 
     def test_cohort_grid_text(self):
-        reports = [_sample_eval_report(c) for c in
-                   ("individual:P1", "sex:m", "sex:f", "all")]
+        reports = EvalGrid([_sample_eval_report(c) for c in
+                            ("individual:P1", "sex:m", "sex:f", "all")])
         text = scoring.to_text(reports)
         lines = text.splitlines()
         assert len(lines) == 1 + 4
@@ -225,6 +227,98 @@ class TestRendering:
             scoring.render(report, "xml")
         with pytest.raises(TypeError):
             scoring.to_json(object())
+
+
+# One json document of each report kind, with the exact csv and text bytes it
+# renders to. Each document is read with from_json and rendered in all three
+# formats; json must come back as the same document at indent 1.
+RENDERED = {
+    "score_report": (
+        '{"kind": "score_report", "patient_id": "P001", "session_index": 4,'
+        ' "fragment_scores": {"s01": [0.25, 0.7500000000000001], "s02": [1.0]},'
+        ' "syllable_scores": {"s01": 0.5, "s02": 1.0}, "session_score": 0.75,'
+        ' "n_fragments": 3, "n_syllables": 2, "missing_syllables": ["s03"]}',
+        "level,patient_id,session_index,syllable_id,fragment_index,score\n"
+        "fragment,P001,4,s01,0,0.25\n"
+        "fragment,P001,4,s01,1,0.7500000000000001\n"
+        "fragment,P001,4,s02,0,1.0\n"
+        "syllable,P001,4,s01,,0.5\n"
+        "syllable,P001,4,s02,,1.0\n"
+        "session,P001,4,,,0.75\n",
+        "patient P001  session 4\n"
+        "  s01            0.5000  (2 fragments)\n"
+        "  s02            1.0000  (1 fragments)\n"
+        "  s03           missing (no fragments after gating)\n"
+        "  session score Q = 0.7500 over 2 syllables",
+    ),
+    "eval_report": (
+        '{"kind": "eval_report", "cohort": "individual:P001", "n_train": 8, "n_test": 2,'
+        ' "train_accuracy": 0.875, "test_accuracy": 0.5,'
+        ' "train_per_class": {"0": 1.0, "1": 0.75}, "test_per_class": {"0": 0.5, "1": null}}',
+        "cohort,n_train,n_test,train_accuracy,test_accuracy\n"
+        "individual:P001,8,2,0.875,0.5\n",
+        "cohort               train     test  n_train  n_test\n"
+        "individual:P001      0.875    0.500        8       2",
+    ),
+    "eval_grid": (
+        '{"kind": "eval_grid", "reports": ['
+        '{"kind": "eval_report", "cohort": "all", "n_train": 48, "n_test": 12,'
+        ' "train_accuracy": 0.9166666666666666, "test_accuracy": 0.8333333333333334,'
+        ' "train_per_class": {"0": 1.0, "1": 0.75}, "test_per_class": {"0": 0.5, "1": null}}, '
+        '{"kind": "eval_report", "cohort": "sex:m", "n_train": 24, "n_test": 6,'
+        ' "train_accuracy": 1.0, "test_accuracy": 0.6666666666666666,'
+        ' "train_per_class": {"0": 1.0, "1": 0.75}, "test_per_class": {"0": 0.5, "1": null}}, '
+        '{"kind": "eval_report", "cohort": "individual:P001", "n_train": 8, "n_test": 2,'
+        ' "train_accuracy": 0.875, "test_accuracy": 0.5,'
+        ' "train_per_class": {"0": 1.0, "1": 0.75}, "test_per_class": {"0": 0.5, "1": null}}]}',
+        "cohort,n_train,n_test,train_accuracy,test_accuracy\n"
+        "all,48,12,0.9166666666666666,0.8333333333333334\n"
+        "sex:m,24,6,1.0,0.6666666666666666\n"
+        "individual:P001,8,2,0.875,0.5\n",
+        "cohort               train     test  n_train  n_test\n"
+        "all                  0.917    0.833       48      12\n"
+        "sex:m                1.000    0.667       24       6\n"
+        "individual:P001      0.875    0.500        8       2",
+    ),
+    "train_trace": (
+        '{"kind": "train_trace", "train_loss": [0.6931471805599453, 0.12345678901234568],'
+        ' "train_accuracy": [0.5, 1.0], "test_loss": [NaN, 0.2], "test_accuracy": [NaN, 0.975]}',
+        "epoch,train_loss,train_accuracy,test_loss,test_accuracy\n"
+        "1,0.6931471805599453,0.5,nan,nan\n"
+        "2,0.12345678901234568,1.0,0.2,0.975\n",
+        " epoch   train_loss  train_accuracy    test_loss  test_accuracy\n"
+        "     1      0.69315          0.5000          nan            nan\n"
+        "     2      0.12346          1.0000      0.20000         0.9750",
+    ),
+    "score_grid": (
+        '{"kind": "score_grid", "reports": ['
+        '{"kind": "score_report", "patient_id": "P001", "session_index": 4,'
+        ' "fragment_scores": {"s01": [0.25, 0.7500000000000001], "s02": [1.0]},'
+        ' "syllable_scores": {"s01": 0.5, "s02": 1.0}, "session_score": 0.75,'
+        ' "n_fragments": 3, "n_syllables": 2, "missing_syllables": ["s03"]}, '
+        '{"kind": "score_report", "patient_id": "P002", "session_index": 3,'
+        ' "fragment_scores": {"s01": [0.1]}, "syllable_scores": {"s01": 0.1},'
+        ' "session_score": 0.1, "n_fragments": 1, "n_syllables": 1, "missing_syllables": []}],'
+        ' "expert_correlation": -0.4082482904638631, "skipped_sessions": [["P001", 5]]}',
+        "patient_id,session_index,session_score,n_syllables,n_fragments\n"
+        "P001,4,0.75,2,3\n"
+        "P002,3,0.1,1,1\n",
+        "patient    session   score Q  syllables  fragments\n"
+        "P001             4    0.7500          2          3\n"
+        "P002             3    0.1000          1          1\n"
+        "P001             5   missing (no fragments)\n"
+        "correlation with expert marks: -0.4082",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RENDERED))
+def test_rendered_bytes_of_every_kind(kind):
+    doc, csv_text, text = RENDERED[kind]
+    report = scoring.from_json(doc)
+    assert scoring.render(report, "json") == json.dumps(json.loads(doc), indent=1)
+    assert scoring.render(report, "csv") == csv_text
+    assert scoring.render(report, "text") == text
 
 
 class TestTrainTestConsistency:
