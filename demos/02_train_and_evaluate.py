@@ -34,7 +34,7 @@ model, trace = nn.train(X, y, split, config, dsp_config=cfg)
 print(scoring.to_text(trace))
 
 print("\nEvaluation report:")
-report = scoring.evaluate(model, X, y, split, cohort="individual:P001")
+report = scoring.evaluate(nn.forward_batch(model, model.standardize(X)), y, split, cohort="individual:P001")
 print(scoring.to_text(report))
 
 model_path = work / "model.json"

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, nn, scoring, synth
@@ -171,13 +172,15 @@ def cmd_eval(args):
     ratio = meta.get("split_ratio", 0.8)
     seed = meta.get("split_seed", 0)
     split_by = meta.get("split_by", "fragment")
+    members = [{r.key() for r in filter_cohort(manifest, c).records} for c in cohorts]  # all before any read
+    union = replace(manifest, records=tuple(r for r in manifest.records if any(r.key() in m for m in members)))
+    X, y, groups = corpus.collect_training_fragments(union, model.dsp_config)
+    p = nn.forward_batch(model, model.standardize(X))
     reports = []
-    for cohort in cohorts:
-        sub = filter_cohort(manifest, cohort)
-        X, y, groups = corpus.collect_training_fragments(sub, model.dsp_config)
-        split = _split_for(split_by, groups, y, ratio, seed)
-        reports.append(scoring.evaluate(model, X, y, split, cohort=str(cohort)))
-        del X  # the next cohort's fragments are collected without this stack held
+    for cohort, keys in zip(cohorts, members):
+        rows = [i for i, key in enumerate(groups) if key in keys]  # in canonical order, as if read alone
+        split = _split_for(split_by, [groups[i] for i in rows], y[rows], ratio, seed)
+        reports.append(scoring.evaluate(p[rows], y[rows], split, cohort=str(cohort)))
     report = scoring.EvalGrid(reports) if len(reports) > 1 else reports[0]
     _emit(scoring.render(report, args.format), args.out)
     return EXIT_OK

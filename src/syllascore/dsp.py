@@ -11,7 +11,7 @@ DspConfig and is stored inside trained model files so that scoring always
 replays the training-time preprocessing.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class DspConfig:
     use_log: bool = True
 
     def __post_init__(self):
+        mistyped = [f.name for f in fields(self) if type(getattr(self, f.name)) is not f.type]
+        if mistyped:  # a model file's 256.0 or "no" must not pass for 256 or False
+            raise ValueError(f"mistyped DspConfig fields: {', '.join(mistyped)}")
         if self.frame_len != FRAME_LEN:
             raise ValueError(f"frame_len is fixed at {FRAME_LEN} (gives {N_BINS} bins)")
         if not 0 < self.hop <= self.frame_len:

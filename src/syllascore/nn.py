@@ -56,9 +56,9 @@ class Architecture:
 
     def __post_init__(self):
         dims = (self.input_steps, self.input_dim, self.lstm1_units,
-                self.lstm2_units, self.dense1_units, self.dense2_units)
-        if any(d < 1 for d in dims):
-            raise ValueError("all architecture dimensions must be >= 1")
+                self.lstm2_units, self.dense1_units, self.dense2_units, self.output_units)
+        if any(type(d) is not int or d < 1 for d in dims):
+            raise ValueError("all architecture dimensions must be integers >= 1")
         if self.output_units != 1:
             raise ValueError("the classifier has a single output unit")
 
@@ -348,6 +348,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
             raise ValueError("clip_norm must be positive and finite, or None")
 
@@ -521,5 +523,5 @@ def load_model(path):
                                      all(ok(meta[k]) for k, ok in _META_CHECKS.items() if k in meta)):
             raise ValueError("train_meta is not an object of valid split settings")
         return Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as exc:
         raise CorruptFile(f"{path}: malformed field ({exc})") from exc

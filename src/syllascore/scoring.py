@@ -157,12 +157,12 @@ def _per_class_accuracy(pred, y):
     return out
 
 
-def evaluate(model, X, y, split, cohort="all"):
-    """Accuracy over the train and test sides of a split assignment."""
+def evaluate(p, y, split, cohort="all"):
+    """Accuracy of class-membership probabilities p over the sides of a split assignment."""
     train, test = split.train_indices, split.test_indices
     if test.size == 0:
         raise EmptySplit("test split is empty")
-    pred = (nn.forward_batch(model, model.standardize(X)) >= nn.PREDICT_THRESHOLD).astype(int)
+    pred = (np.asarray(p) >= nn.PREDICT_THRESHOLD).astype(int)
     y = np.asarray(y).astype(int)
     return EvalReport(
         cohort=str(cohort),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllascore import corpus, nn, scoring
-from syllascore.audio import SampleBuffer, write_wav
+from syllascore.audio import SampleBuffer, read_wav, write_wav
 from syllascore.cli import main
 from syllascore.dataset import load_manifest
 from test_scoring import _sample_eval_report, _sample_score_report
@@ -76,6 +76,7 @@ BAD_VALUES = [
     ["train", "--epochs", "0"],
     ["train", "--learning-rate", "nan"],
     ["train", "--log-floor", "inf"],
+    ["train", "--seed", "-1"],
 ]
 
 
@@ -183,7 +184,7 @@ class TestEvalCommand:
         assert report.test_accuracy == expected
         assert report.cohort == "individual:P001"
 
-    def test_multi_cohort_grid_four_rows(self, tmp_path):
+    def test_multi_cohort_grid_four_rows(self, tmp_path, monkeypatch):
         # patients P001/P002 draw sexes m/f at seed 0, so all four cohort
         # rows of the text grid are populated
         corpus_dir = tmp_path / "c"
@@ -192,16 +193,36 @@ class TestEvalCommand:
         model = tmp_path / "m.json"
         assert main(["train", "--manifest", str(corpus_dir / "manifest.txt"),
                      "--model-out", str(model), "--epochs", "1", "--seed", "0"]) == 0
+        reads = []
+
+        def counted_read(path, **kwargs):
+            reads.append(path)
+            return read_wav(path, **kwargs)
+
+        monkeypatch.setattr(corpus, "read_wav", counted_read)
+
+        def run_eval(cohorts, fmt, out):
+            reads.clear()
+            code = main(["eval", "--model", str(model), "--manifest", str(corpus_dir / "manifest.txt"),
+                         *[arg for c in cohorts for arg in ("--cohort", c)],
+                         "--format", fmt, "--out", str(out)])
+            return code, len(reads)
+
+        cohorts = ["individual:P001", "sex:m", "sex:f", "all"]
         out = tmp_path / "grid.txt"
-        assert main(["eval", "--model", str(model),
-                     "--manifest", str(corpus_dir / "manifest.txt"),
-                     "--cohort", "individual:P001", "--cohort", "sex:m",
-                     "--cohort", "sex:f", "--cohort", "all",
-                     "--out", str(out)]) == 0
+        # each session-1/2 recording is read once: 2 patients x 3 syllables x 2 sessions
+        assert run_eval(cohorts, "text", out) == (0, 12)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 4
         assert lines[1].startswith("individual:P001")
         assert lines[4].startswith("all")
+        assert run_eval(cohorts, "json", tmp_path / "grid.json") == (0, 12)
+        grid = scoring.from_json((tmp_path / "grid.json").read_text())
+        for cohort, row in zip(cohorts, grid.reports):
+            assert run_eval([cohort], "json", tmp_path / "one.json")[0] == 0
+            assert scoring.from_json((tmp_path / "one.json").read_text()) == row
+        # an empty cohort exits 5 before any audio is read
+        assert run_eval(["all", "individual:P999"], "json", tmp_path / "none.json") == (5, 0)
 
     def test_missing_model_exits_three(self, cli_run):
         corpus_dir, _, _ = cli_run
@@ -263,7 +284,8 @@ class TestScoreCommand:
         {"std": [1.0] * 513},  # no mean
         {"mean": [0.0] * 5, "std": [1.0] * 5},  # 5 bins for a 513-bin model
         {"mean": [0.0] * 513, "std": [0.0] * 513},  # would divide by zero
-    ], ids=["no_mean", "five_bins", "zero_std"])
+        {"mean": [10**400] * 513, "std": [1.0] * 513},  # no float holds it
+    ], ids=["no_mean", "five_bins", "zero_std", "huge_int_mean"])
     def test_bad_standardization_stats_exit_three(self, cli_run, tmp_path, stats):
         corpus_dir, model_path, _ = cli_run
         doc = json.loads(model_path.read_text())
@@ -287,6 +309,20 @@ class TestModelFile:
         doc = json.loads(model_path.read_text())
         doc["train_meta"] = {**doc["train_meta"], **meta} if isinstance(meta, dict) else meta
         doc["checksum_sha256"] = nn._checksum(doc)  # a well-formed file, only train_meta is bad
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, sort_keys=True))
+        assert main(["eval", "--model", str(bad),
+                     "--manifest", str(corpus_dir / "manifest.txt")]) == 3
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("dsp", "hop", 256.0), ("dsp", "fragment_hop", 8.0), ("dsp", "use_log", "no"),
+        ("dsp", "log_floor", 10**400), ("architecture", "lstm1_units", 128.0),
+    ], ids=["float_hop", "float_fragment_hop", "string_use_log", "huge_int_log_floor", "float_units"])
+    def test_mistyped_field_exits_three(self, cli_run, tmp_path, section, field, value):
+        corpus_dir, model_path, _ = cli_run
+        doc = json.loads(model_path.read_text())
+        doc[section][field] = value
+        doc["checksum_sha256"] = nn._checksum(doc)  # a well-formed file, only one field is mistyped
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc, sort_keys=True))
         assert main(["eval", "--model", str(bad),

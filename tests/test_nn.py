@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syllascore import nn
+from syllascore import dsp, nn
+from syllascore.audio import SampleBuffer
 from syllascore.dataset import SplitAssignment, split_fragments
 from syllascore.errors import (CorruptFile, DegenerateInput, ShapeMismatch,
-                               VersionMismatch)
+                               SyllascoreError, VersionMismatch)
+from test_cli import JSON_VALUES
 
 TINY = nn.Architecture(input_steps=4, input_dim=2, lstm1_units=3, lstm2_units=3,
                        dense1_units=2, dense2_units=2, output_units=1)
@@ -393,3 +397,52 @@ class TestModelFile:
         loaded = nn.load_model(path)
         assert loaded.dsp_config == model.dsp_config
         np.testing.assert_allclose(loaded.input_mean, model.input_mean, rtol=1e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_leaf_value_raises_only_package_errors(self, tiny_model_file, data):
+        """A checksummed file with one setting replaced loads, preprocesses and
+        runs, or fails with a SyllascoreError (which the CLI maps to an exit code)."""
+        doc = json.loads(tiny_model_file.read_text())
+        paths = [p for p in _leaves(doc) if p[0] in ("architecture", "dsp", "standardize", "train_meta")]
+        *parents, last = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in parents:
+            node = node[key]
+        original = node[last]  # also try the same setting in another json type: 256 as 256.0 or "256"
+        retyped = [float(original), str(original)] if type(original) in (int, float) else [str(original)]
+        node[last] = data.draw(JSON_VALUES | st.sampled_from(retyped))
+        doc["checksum_sha256"] = nn._checksum(doc)
+        path = tiny_model_file.with_name("mutated.json")
+        path.write_text(json.dumps(doc, sort_keys=True))
+        try:
+            model = nn.load_model(path)
+            dsp.pipeline(HALF_SECOND, model.dsp_config)
+            steps, dim = model.arch.input_steps, model.arch.input_dim
+            if steps * dim <= TINY.input_steps * TINY.input_dim:  # a larger input could exhaust memory
+                nn.forward_batch(model, np.zeros((1, steps, dim)))
+        except SyllascoreError:
+            pass
+
+
+HALF_SECOND = SampleBuffer(np.random.default_rng(0).normal(0.0, 0.1, 8000), 16000)
+
+
+@pytest.fixture(scope="module")
+def tiny_model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "model.json"
+    meta = {"cohort": "all", "split_ratio": 0.8, "split_seed": 0, "split_by": "fragment", "n_train": 4}
+    nn.save_model(nn.Model(TINY, _random_model(TINY, 3).params, input_mean=np.zeros(2),
+                           input_std=np.ones(2), train_meta=meta), path)
+    return path
+
+
+def _leaves(node, path=()):
+    """The key path of every scalar in a json document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaves(child, path + (key,))]

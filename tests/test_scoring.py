@@ -84,33 +84,32 @@ class TestEvaluate:
     def _split(self, n_train, n_test):
         return SplitAssignment(np.arange(n_train), np.arange(n_train, n_train + n_test), seed=0)
 
-    def test_perfect_predictor(self, probe_model):
-        X = np.stack([_frag(v) for v in (0.9, 0.9, 0.1, 0.1, 0.8, 0.2, 0.9, 0.1, 0.7, 0.3)])
-        y = (X[:, 0, 0] >= 0.5).astype(int)
-        report = evaluate(probe_model, X, y, self._split(8, 2))
+    def test_perfect_predictor(self):
+        p = np.array([0.9, 0.9, 0.1, 0.1, 0.8, 0.2, 0.9, 0.1, 0.7, 0.3])
+        y = (p >= 0.5).astype(int)
+        report = evaluate(p, y, self._split(8, 2))
         assert report.test_accuracy == 1.0
         assert report.train_accuracy == 1.0
 
-    def test_threshold_ties_classify_as_one(self, probe_model):
+    def test_threshold_ties_classify_as_one(self):
         # constant 0.5 lands exactly on the threshold: prediction is class 1,
         # so accuracy equals class-1 prevalence
-        X = np.stack([_frag(0.5) for _ in range(10)])
+        p = np.full(10, 0.5)
         y = np.array([1, 0] * 5)
-        report = evaluate(probe_model, X, y, self._split(6, 4))
+        report = evaluate(p, y, self._split(6, 4))
         assert report.test_accuracy == 0.5
         assert report.test_per_class == {"0": 0.0, "1": 1.0}
 
-    def test_accuracy_is_exact_fraction(self, probe_model):
-        X = np.stack([_frag(v) for v in (0.9, 0.1, 0.9, 0.9, 0.2, 0.8, 0.7)])
+    def test_accuracy_is_exact_fraction(self):
+        p = np.array([0.9, 0.1, 0.9, 0.9, 0.2, 0.8, 0.7])
         y = np.array([1, 1, 0, 1, 0, 1, 0])
-        report = evaluate(probe_model, X, y, self._split(4, 3))
+        report = evaluate(p, y, self._split(4, 3))
         assert report.train_accuracy == 0.5
         assert report.test_accuracy == pytest.approx(2.0 / 3.0)
 
-    def test_empty_test_split(self, probe_model):
-        X = np.stack([_frag(0.5)] * 4)
+    def test_empty_test_split(self):
         with pytest.raises(EmptySplit):
-            evaluate(probe_model, X, np.array([1, 0, 1, 0]), self._split(4, 0))
+            evaluate(np.full(4, 0.5), np.array([1, 0, 1, 0]), self._split(4, 0))
 
 
 class TestPearson:
@@ -336,5 +335,5 @@ class TestTrainTestConsistency:
             model, _ = nn.train(X, y, split,
                                 nn.TrainConfig(epochs=20, batch_size=8, seed=seed),
                                 arch=arch, standardize=True)
-            report = evaluate(model, X, y, split)
+            report = evaluate(nn.forward_batch(model, model.standardize(X)), y, split)
             assert report.train_accuracy >= report.test_accuracy - 0.05
