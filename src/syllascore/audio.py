@@ -54,6 +54,8 @@ def read_wav(path, expected_rate_hz=None):
             raw = wav.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    except RuntimeError as exc:  # wave's seek past the end of the chunk that holds it
+        raise AudioFormatError(f"{path}: a chunk size overstates the file") from exc
     if n_channels != 1:
         raise AudioFormatError(f"{path}: expected mono, got {n_channels} channels")
     if samp_width != 2:

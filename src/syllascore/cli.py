@@ -339,7 +339,7 @@ def _expand_config(argv):
     except OSError as exc:
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         return argv, EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: config {path} is not valid json: {exc}", file=sys.stderr)
         return argv, EXIT_USAGE
     if not isinstance(cfg, dict):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio import read_wav
 from .dsp import pipeline
-from .errors import DegenerateInput
+from .errors import DegenerateInput, EmptySession
 
 logger = logging.getLogger(__name__)
 
@@ -21,9 +21,16 @@ def _sorted_records(manifest, sessions):
     return sorted(recs, key=lambda r: (r.patient_id, r.session_index, r.syllable_id))
 
 
-def _record_fragments(manifest, rec, cfg):
-    buf = read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz)
-    return pipeline(buf, cfg)
+def _stack_records(manifest, records, cfg):
+    """The records' fragments as one (N, 8, 513) float64 stack, in record
+    order, and the rows each record gave (0 for one that gated away); the
+    stack is None when no record gave any."""
+    rows, counts = [], []
+    for rec in records:
+        frags = pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
+        rows.extend(frag.values for frag in frags)
+        counts.append(len(frags))
+    return (np.stack(rows) if rows else None), counts
 
 
 def collect_training_fragments(manifest, cfg):
@@ -34,37 +41,31 @@ def collect_training_fragments(manifest, cfg):
     leakage-free splitting at recording granularity). Recordings that gate
     away entirely contribute nothing and are logged.
     """
-    stacks, labels, groups = [], [], []
-    for rec in _sorted_records(manifest, sessions=(1, 2)):
-        frags = _record_fragments(manifest, rec, cfg)
-        if not frags:
+    records = _sorted_records(manifest, sessions=(1, 2))
+    X, counts = _stack_records(manifest, records, cfg)
+    labels, groups = [], []
+    for rec, n in zip(records, counts):
+        if not n:
             logger.warning("recording %s produced no fragments (gated or too short)", rec.key())
-            continue
-        for frag in frags:
-            stacks.append(frag.values)
-            labels.append(rec.class_label)
-            groups.append(rec.key())
-    if not stacks:
+        labels += [rec.class_label] * n
+        groups += [rec.key()] * n
+    if X is None:
         raise DegenerateInput("no fragments survived preprocessing")
-    return np.stack(stacks), np.asarray(labels, dtype=np.float64), groups
+    return X, np.asarray(labels, dtype=np.float64), groups
 
 
 def collect_session_fragments(manifest, patient_id, session_index, cfg):
-    """Per-syllable fragment stacks for one session of one patient.
+    """One session's fragments: (X, records, counts).
 
-    Syllables whose recording yields no fragments map to an empty array so
-    scoring can report them as missing.
+    X stacks the fragments of the session's records (canonical order), and
+    counts[i] is how many rows records[i] gave; 0 marks a syllable whose
+    recording gated away. A session with no fragments at all is EmptySession.
     """
-    out = {}
-    for rec in _sorted_records(manifest, sessions=(session_index,)):
-        if rec.patient_id != patient_id:
-            continue
-        frags = _record_fragments(manifest, rec, cfg)
-        if frags:
-            out[rec.syllable_id] = np.stack([f.values for f in frags])
-        else:
-            out[rec.syllable_id] = np.empty((0, 8, 513))
-    return out
+    records = [r for r in _sorted_records(manifest, sessions=(session_index,)) if r.patient_id == patient_id]
+    X, counts = _stack_records(manifest, records, cfg)
+    if X is None:
+        raise EmptySession(f"session {session_index} of patient {patient_id} has no fragments")
+    return X, records, counts
 
 
 def scoreable_sessions(manifest, patient_id=None):
@@ -77,12 +78,3 @@ def scoreable_sessions(manifest, patient_id=None):
         }
     )
     return pairs
-
-
-def expert_marks(manifest, patient_id, session_index):
-    """syllable_id -> expert mark for one session, omitting unmarked records."""
-    return {
-        r.syllable_id: r.expert_mark
-        for r in manifest.records
-        if r.patient_id == patient_id and r.session_index == session_index and r.expert_mark is not None
-    }

@@ -17,6 +17,7 @@ class_label field is allowed so an expert_mark can follow it.
 """
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -187,7 +188,7 @@ def _check_files(records, root):
     for rec in records:
         p = Path(rec.audio_path)
         full = p if p.is_absolute() else root / p
-        if not full.is_file():
+        if not os.path.isfile(full):  # False, not an error, for a name the OS refuses
             raise ValidationError(f"record {rec.key()}: audio file {full} does not exist")
 
 
@@ -205,7 +206,11 @@ def load_manifest(path, drop_incomplete=False):
     sample_rate = None
     patient_sex = {}
     records = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

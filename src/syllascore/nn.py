@@ -84,13 +84,6 @@ class Architecture:
     def param_count(self):
         return sum(int(np.prod(shape)) for _, shape in self.layout())
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def _views(arch, flat):
     """Named array views into a flat parameter (or gradient) vector."""
@@ -471,7 +464,7 @@ def save_model(model, path):
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "architecture": model.arch.to_dict(),
+        "architecture": asdict(model.arch),
         "parameter_layout": [f"{name}:{'x'.join(map(str, shape))}" for name, shape in model.arch.layout()],
         "parameters_hex": model.params.astype("<f4").tobytes().hex(),
         "dsp": model.dsp_config.to_dict(),
@@ -510,12 +503,14 @@ def load_model(path):
     if doc.get("checksum_sha256") != _checksum(doc):
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
-        arch = Architecture.from_dict(doc["architecture"])
+        arch = Architecture(**doc["architecture"])
         params = np.frombuffer(bytes.fromhex(doc["parameters_hex"]), dtype="<f4").astype(np.float64)
         dsp_config = DspConfig.from_dict(doc["dsp"])
         stats = doc["standardize"]
         mean = std = None
         if stats is not None:
+            if not all(type(v) in (int, float) for v in [*stats["mean"], *stats["std"]]):  # no bool, no str
+                raise ValueError("standardization stats must be lists of json numbers")
             mean = np.asarray(stats["mean"], dtype=np.float64)
             std = np.asarray(stats["std"], dtype=np.float64)
         meta = doc["train_meta"]

@@ -73,25 +73,23 @@ class ScoreGrid:
     skipped_sessions: list[tuple[str, int]] = field(default_factory=list)  # sessions with no fragments
 
 
-def score_session(model, fragments_by_syllable, patient_id="", session_index=0,
-                  fragment_mean=False):
-    """Score one session's fragments, grouped per syllable.
+def score_session(scores_by_syllable, patient_id, session_index, fragment_mean=False):
+    """Aggregate one session's per-fragment probabilities, grouped per syllable.
 
-    fragments_by_syllable maps syllable_id -> array (K, steps, bins); K may
-    be 0 for recordings that gated away entirely, which are reported as
-    missing rather than scored. With fragment_mean=True the session score is
-    the mean over all fragments instead of the unweighted syllable mean.
+    scores_by_syllable maps syllable_id -> sequence of class-1 probabilities;
+    an empty sequence marks a recording that gated away, which is reported
+    as missing rather than scored. With fragment_mean=True the session score
+    is the mean over all fragments instead of the unweighted syllable mean.
     """
     fragment_scores = {}
     syllable_scores = {}
     missing = []
     all_scores = []
-    for syllable_id in sorted(fragments_by_syllable):
-        frags = np.asarray(fragments_by_syllable[syllable_id], dtype=np.float64)
-        if frags.size == 0:
+    for syllable_id in sorted(scores_by_syllable):
+        p = np.asarray(scores_by_syllable[syllable_id], dtype=np.float64)
+        if p.size == 0:
             missing.append(syllable_id)
             continue
-        p = nn.forward_batch(model, model.standardize(frags))
         fragment_scores[syllable_id] = [float(v) for v in p]
         syllable_scores[syllable_id] = float(p.mean())
         all_scores.extend(fragment_scores[syllable_id])
@@ -116,28 +114,30 @@ def score_session(model, fragments_by_syllable, patient_id="", session_index=0,
 def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=False):
     """Score (patient_id, session_index) pairs of a manifest into one grid.
 
-    Sessions that gate away are listed as skipped. expert_marks=True adds the
-    correlation of syllable scores with the manifest's expert marks, left None
-    (with a warning) under 3 marked syllables or for a constant side.
+    Each session runs through the network once. Sessions that gate away are
+    listed as skipped. expert_marks=True adds the correlation of syllable
+    scores with the manifest's expert marks, left None (with a warning)
+    under 3 marked syllables or for a constant side.
     """
     reports = []
     skipped = []
     marked = []  # (syllable score, expert mark)
     for patient_id, session_index in pairs:
-        frags = corpus.collect_session_fragments(manifest, patient_id, session_index, model.dsp_config)
         try:
-            report = score_session(model, frags, patient_id=patient_id, session_index=session_index,
-                                   fragment_mean=fragment_mean)
+            X, records, counts = corpus.collect_session_fragments(manifest, patient_id, session_index,
+                                                                  model.dsp_config)
         except EmptySession:
             logger.warning("session %s of patient %s has no fragments; skipped",
                            session_index, patient_id)
             skipped.append((patient_id, session_index))
             continue
+        p = np.split(nn.forward_batch(model, model.standardize(X)), np.cumsum(counts)[:-1])
+        report = score_session({rec.syllable_id: s for rec, s in zip(records, p)}, patient_id, session_index,
+                               fragment_mean=fragment_mean)
         reports.append(report)
         if expert_marks:
-            for syllable_id, mark in corpus.expert_marks(manifest, patient_id, session_index).items():
-                if syllable_id in report.syllable_scores:
-                    marked.append((report.syllable_scores[syllable_id], mark))
+            marked += [(report.syllable_scores[rec.syllable_id], rec.expert_mark) for rec in records
+                       if rec.expert_mark is not None and rec.syllable_id in report.syllable_scores]
     if not reports:
         raise EmptySession("no rehabilitation session (index >= 3) with fragments to score")
     correlation = None

@@ -3,6 +3,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syllascore.audio import SampleBuffer, read_wav, write_wav
 from syllascore.errors import AudioFormatError
@@ -80,3 +82,45 @@ def test_rejects_data_chunk_truncated_mid_sample(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     with pytest.raises(AudioFormatError, match="truncated"):
         read_wav(path)
+
+
+def test_chunk_size_overstating_the_file(tmp_path):
+    path = tmp_path / "t.wav"
+    write_wav(path, SampleBuffer(np.zeros(100) + 0.1, 16000))
+    data = bytearray(path.read_bytes())
+    data[16:20] = struct.pack("<I", 0xFFFFFFF0)  # the fmt chunk's size field
+    path.write_bytes(bytes(data))
+    with pytest.raises(AudioFormatError, match="overstates"):
+        read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def wav_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav")
+
+
+# A 444-byte canonical file: offsets of its chunk ids and of its 32-bit size fields.
+CHUNK_IDS = (0, 8, 12, 36)  # RIFF, WAVE, fmt , data
+CHUNK_SIZES = (4, 16, 40)  # RIFF, fmt , data
+IDS = (st.sampled_from([b"RIFF", b"WAVE", b"fmt ", b"data", b"LIST", b"RIFX"])
+       | st.binary(min_size=4, max_size=4))
+SIZES = (st.sampled_from([0, 1, 2, 15, 16, 17, 399, 400, 401, 0x7FFFFFFF, 0xFFFFFFF0])
+         | st.integers(0, 2**32 - 1))
+MUTATIONS = st.lists(st.tuples(st.sampled_from(CHUNK_IDS), IDS)
+                     | st.tuples(st.sampled_from(CHUNK_SIZES), SIZES.map(lambda n: struct.pack("<I", n))),
+                     min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=MUTATIONS)
+def test_mutated_chunk_headers_raise_only_audio_format_error(wav_dir, mutations):
+    path = wav_dir / "t.wav"
+    write_wav(path, SampleBuffer(np.sin(np.arange(200) / 5.0) / 2, 16000))
+    data = bytearray(path.read_bytes())
+    for offset, field in mutations:
+        data[offset:offset + 4] = field
+    path.write_bytes(bytes(data))
+    try:
+        read_wav(path)
+    except AudioFormatError:
+        pass

@@ -152,6 +152,15 @@ class TestTrainCommand:
                      "--model-out", str(tmp_path / "m.json"), "--epochs", "1"])
         assert code == 4
 
+    def test_manifest_not_utf8_exits_four(self, cli_run, tmp_path, capsys):
+        corpus_dir, _, _ = cli_run
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes((corpus_dir / "manifest.txt").read_bytes() + b"# caf\xe9\n")
+        assert main(["train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json"),
+                     "--epochs", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "Traceback" not in err
+
     def test_record_order_does_not_matter(self, tmp_path):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "3",
@@ -285,7 +294,9 @@ class TestScoreCommand:
         {"mean": [0.0] * 5, "std": [1.0] * 5},  # 5 bins for a 513-bin model
         {"mean": [0.0] * 513, "std": [0.0] * 513},  # would divide by zero
         {"mean": [10**400] * 513, "std": [1.0] * 513},  # no float holds it
-    ], ids=["no_mean", "five_bins", "zero_std", "huge_int_mean"])
+        {"mean": ["0.5"] * 513, "std": [1.0] * 513},  # strings, not numbers
+        {"mean": [0.0] * 513, "std": [True] * 513},  # booleans, not numbers
+    ], ids=["no_mean", "five_bins", "zero_std", "huge_int_mean", "string_mean", "bool_std"])
     def test_bad_standardization_stats_exit_three(self, cli_run, tmp_path, stats):
         corpus_dir, model_path, _ = cli_run
         doc = json.loads(model_path.read_text())
@@ -339,8 +350,11 @@ class TestModelFile:
 
 
 class TestScoreSessions:
-    def test_same_grid_as_the_score_command(self, cli_run, tmp_path):
+    def test_same_grid_as_the_score_command(self, cli_run, tmp_path, monkeypatch):
         corpus_dir, model_path, _ = cli_run
+        forward, calls = nn.forward_batch, []
+        monkeypatch.setattr(scoring.nn, "forward_batch",
+                            lambda model, X: calls.append(len(X)) or forward(model, X))
         out = tmp_path / "scores.json"
         assert main(["score", "--model", str(model_path),
                      "--manifest", str(corpus_dir / "manifest.txt"),
@@ -350,6 +364,30 @@ class TestScoreSessions:
                                       corpus.scoreable_sessions(manifest), expert_marks=True)
         assert grid.expert_correlation is not None
         assert scoring.to_json(grid) + "\n" == out.read_text()
+        # the network runs once per scored session, over all of its fragments
+        assert calls == [r.n_fragments for r in grid.reports] * 2
+
+    def test_marks_pair_with_their_syllables_when_one_gates_away(self, cli_run, monkeypatch):
+        corpus_dir, model_path, _ = cli_run
+        manifest = load_manifest(corpus_dir / "manifest.txt")
+        # marks that vary within a session, so a pairing shifted past the gap changes the correlation
+        marks = {"s01": 1, "s02": 0, "s03": 1, "s04": 1, "s05": 0}
+        records = tuple(dataclasses.replace(r, expert_mark=marks[r.syllable_id])
+                        if r.session_index >= 3 else r for r in manifest.records)
+        manifest = dataclasses.replace(manifest, records=records)
+        silent = corpus_dir / "audio" / "P001_3_s03.wav"
+
+        def read_gating_one(path, **kwargs):
+            buf = read_wav(path, **kwargs)
+            return SampleBuffer(np.zeros(len(buf)), buf.sample_rate_hz) if Path(path) == silent else buf
+
+        monkeypatch.setattr(corpus, "read_wav", read_gating_one)
+        grid = scoring.score_sessions(nn.load_model(model_path), manifest,
+                                      [("P001", 3), ("P001", 4)], expert_marks=True)
+        assert [r.missing_syllables for r in grid.reports] == [["s03"], []]
+        assert [r.n_syllables for r in grid.reports] == [4, 5]
+        pairs = [(r.syllable_scores[s], marks[s]) for r in grid.reports for s in sorted(r.syllable_scores)]
+        assert grid.expert_correlation == pytest.approx(scoring.pearson(*zip(*pairs)), rel=1e-12)
 
     def test_fewer_than_three_marks_give_no_correlation(self, cli_run):
         corpus_dir, model_path, _ = cli_run
@@ -489,5 +527,8 @@ class TestConfigFile:
     def test_malformed_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        assert main(["synth", "--out", str(tmp_path / "x"),
+                     "--config", str(bad)]) == 2
+        bad.write_bytes(b'{"epochs": 1, "seed": "\xff"}')  # not UTF-8
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--config", str(bad)]) == 2

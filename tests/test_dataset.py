@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syllascore.dataset import (Cohort, filter_cohort, load_manifest,
                                 save_manifest, split_by_groups, split_fragments)
 from syllascore.errors import (DegenerateInput, EmptyCohort, ParseError,
-                               ValidationError)
+                               SyllascoreError, ValidationError)
 
 
 def _write_manifest(tmp_path, body, with_files=True):
@@ -121,6 +123,43 @@ TWO_PATIENTS = MINIMAL + (
     "Q,1,sa,gost100,audio/q_1_sa.wav,1\n"
     "Q,2,sa,gost100,audio/q_2_sa.wav,0\n"
 )
+
+
+@pytest.fixture(scope="module")
+def minimal_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    _write_manifest(root, MINIMAL)
+    return root
+
+
+# Appended lines: records built from fields that are mostly valid, alone or mixed in any
+# order with raw bytes, text, and comma- or space-joined tokens.
+TEXT = st.text(max_size=6).map(str.encode)
+TOKENS = TEXT | st.binary(max_size=6) | st.sampled_from(
+    [b"", b"P", b"0", b"1", b"3", b"sa", b"gost100", b"audio/p_1_sa.wav", b"#patient", b"sex=f", b"\xff"])
+FIELDS = ([b"P", b"Q"], [b"1", b"2", b"3", b"4"], [b"sa", b"su"], [b"gost100", b"GOST100"],
+          [b"audio/p_1_sa.wav", b"audio/none.wav", b"a\x00b", b"x" * 300])
+TAILS = st.sampled_from([[], [b""], [b"", b"1"], [b"0"], [b"1"], [b"", b"2"]])
+RECORDS = st.builds(lambda fields, tail: b",".join(list(fields) + tail),
+                    st.tuples(*(st.sampled_from(values) for values in FIELDS)), TAILS)
+OTHER = (st.binary(max_size=30) | st.text(max_size=30).map(str.encode)
+         | st.lists(TOKENS, max_size=8).map(b",".join)
+         | st.lists(TOKENS, max_size=3).map(lambda t: b"#" + b" ".join(t))
+         | TOKENS.map(lambda t: b"#sample_rate_hz=" + t))
+LINES = st.lists(RECORDS, min_size=1, max_size=4) | st.builds(
+    lambda a, b: a + b, st.lists(RECORDS, max_size=3),
+    st.lists(OTHER, min_size=1, max_size=3)).flatmap(st.permutations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=LINES, drop_incomplete=st.booleans())
+def test_appended_lines_raise_only_package_errors(minimal_dir, lines, drop_incomplete):
+    path = minimal_dir / "fuzzed.txt"
+    path.write_bytes(MINIMAL.encode() + b"\n".join(lines) + b"\n")
+    try:
+        load_manifest(path, drop_incomplete=drop_incomplete)
+    except SyllascoreError:
+        pass
 
 
 class TestFilterCohort:
