@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dsp import DspConfig, FRAGMENT_FRAMES, N_BINS
-from .errors import CorruptFile, DegenerateInput, ShapeMismatch, VersionMismatch
+from .errors import CorruptFile, DegenerateInput, EmptySplit, ShapeMismatch, VersionMismatch
 
 BCE_EPS = 1e-7
 PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
@@ -122,68 +122,65 @@ def _hard_sigmoid_grad(x):
     return np.where((x > -2.5) & (x < 2.5), 0.2, 0.0)
 
 
-def _lstm_forward(x_seq, W, U, b, want_cache):
-    """Run one LSTM layer over (B, T, D) inputs; returns (B, T, H) states."""
-    B, T, _ = x_seq.shape
+def _lstm_forward(x_seq, W, U, b):
+    """Run one LSTM layer over (B, T, D) inputs; returns the (B, T, H) states and
+    the cache (gates, cells): activated i/f/g/o gates (B, T, 4H), cell states (B, T, H)."""
+    B, T, D = x_seq.shape
     H = U.shape[0]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    states = np.empty((B, T, H))
-    cache = [] if want_cache else None
+    gates = (x_seq.reshape(B * T, D) @ W).reshape(B, T, 4 * H)  # every step's input projection
+    states, cells = np.empty((B, T, H)), np.empty((B, T, H))
+    h = c = np.zeros((B, H))
     for t in range(T):
-        h_prev, c_prev = h, c
-        z = x_seq[:, t] @ W + h_prev @ U + b
-        i = expit(z[:, :H])
-        f = expit(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = expit(z[:, 3 * H :])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
+        z = gates[:, t]
+        z += h @ U
+        z += b
+        i, f, g, o = (z[:, k * H : (k + 1) * H] for k in range(4))
+        expit(z[:, : 2 * H], out=z[:, : 2 * H])  # i and f
+        np.tanh(g, out=g)
+        expit(o, out=o)
+        c = f * c + i * g
+        cells[:, t] = c
+        h = o * np.tanh(c)
         states[:, t] = h
-        if want_cache:
-            cache.append((i, f, g, o, tc, c_prev, h_prev))
-    return states, cache
+    return states, (gates, cells)
 
 
-def _lstm_backward(x_seq, cache, W, U, d_states, dW, dU, db):
-    """Backpropagate through time; accumulates into dW/dU/db, returns dX."""
-    B, T, _ = x_seq.shape
+def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
+    """Backpropagate through time; accumulates into dW/dU/db and returns the (B, T, 4H)
+    gradient dz at the gate pre-activations. The layer's input gradient is dz @ W.T."""
+    gates, cells = cache
+    B, T, D = x_seq.shape
     H = U.shape[0]
-    dx = np.zeros_like(x_seq)
-    dh_rec = np.zeros((B, H))
-    dc = np.zeros((B, H))
+    dz = np.empty_like(gates)
+    dh_rec = dc = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o, tc, c_prev, h_prev = cache[t]
+        i, f, g, o = (gates[:, t, k * H : (k + 1) * H] for k in range(4))
+        c_prev = cells[:, t - 1] if t else 0.0
+        tc = np.tanh(cells[:, t])
         dh = d_states[:, t] + dh_rec
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        dz = np.empty((B, 4 * H))
-        dz[:, :H] = (dc * g) * i * (1.0 - i)
-        dz[:, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
-        dz[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
-        dz[:, 3 * H :] = do * o * (1.0 - o)
-        dW += x_seq[:, t].T @ dz
-        dU += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dx[:, t] = dz @ W.T
-        dh_rec = dz @ U.T
+        dz[:, t, :H] = (dc * g) * i * (1.0 - i)
+        dz[:, t, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
+        dz[:, t, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
+        dz[:, t, 3 * H :] = do * o * (1.0 - o)
+        dh_rec = dz[:, t] @ U.T
         dc = dc * f
-    return dx
+    dW += x_seq.reshape(B * T, D).T @ dz.reshape(B * T, 4 * H)
+    dU += states[:, :-1].reshape(B * (T - 1), H).T @ dz[:, 1:].reshape(B * (T - 1), 4 * H)
+    db += dz.sum(axis=(0, 1))
+    return dz
 
 
-def _forward_full(arch, views, X, want_cache=False):
-    """Probability head over a (B, steps, input_dim) batch."""
-    states1, cache1 = _lstm_forward(X, views["lstm1.W"], views["lstm1.U"], views["lstm1.b"], want_cache)
-    states2, cache2 = _lstm_forward(states1, views["lstm2.W"], views["lstm2.U"], views["lstm2.b"], want_cache)
+def _forward_full(views, X):
+    """Probability head over a (B, steps, input_dim) batch, plus what backprop reads."""
+    states1, cache1 = _lstm_forward(X, views["lstm1.W"], views["lstm1.U"], views["lstm1.b"])
+    states2, cache2 = _lstm_forward(states1, views["lstm2.W"], views["lstm2.U"], views["lstm2.b"])
     h_last = states2[:, -1]
     a1 = np.tanh(h_last @ views["dense1.W"] + views["dense1.b"])
     a2 = expit(a1 @ views["dense2.W"] + views["dense2.b"])
     z3 = (a2 @ views["dense3.W"] + views["dense3.b"])[:, 0]
-    p = hard_sigmoid(z3)
-    if not want_cache:
-        return p, None
-    return p, (states1, cache1, cache2, h_last, a1, a2, z3)
+    return hard_sigmoid(z3), (states1, cache1, states2, cache2, a1, a2, z3)
 
 
 def _check_batch(arch, X):
@@ -243,8 +240,7 @@ def forward_batch(model, X):
     views = _views(model.arch, model.params)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], FORWARD_CHUNK):
-        p, _ = _forward_full(model.arch, views, X[start : start + FORWARD_CHUNK])
-        out[start : start + FORWARD_CHUNK] = p
+        out[start : start + FORWARD_CHUNK], _ = _forward_full(views, X[start : start + FORWARD_CHUNK])
     return out
 
 
@@ -258,8 +254,7 @@ def _grad(arch, params, X, y):
     """Gradient of the mean batch loss w.r.t. every parameter, plus the loss."""
     B = X.shape[0]
     views = _views(arch, params)
-    p, cache = _forward_full(arch, views, X, want_cache=True)
-    states1, cache1, cache2, h_last, a1, a2, z3 = cache
+    p, (states1, cache1, states2, cache2, a1, a2, z3) = _forward_full(views, X)
     loss = float(np.mean(bce_loss(p, y)))
 
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -278,15 +273,16 @@ def _grad(arch, params, X, y):
     g["dense2.b"] += dz2.sum(axis=0)
     da1 = dz2 @ views["dense2.W"].T
     dz1 = da1 * (1.0 - a1 * a1)
-    g["dense1.W"] += h_last.T @ dz1
+    g["dense1.W"] += states2[:, -1].T @ dz1
     g["dense1.b"] += dz1.sum(axis=0)
     dh_last = dz1 @ views["dense1.W"].T
 
     d_states2 = np.zeros((B, arch.input_steps, arch.lstm2_units))
     d_states2[:, -1] = dh_last
-    d_states1 = _lstm_backward(states1, cache2, views["lstm2.W"], views["lstm2.U"],
-                               d_states2, g["lstm2.W"], g["lstm2.U"], g["lstm2.b"])
-    _lstm_backward(X, cache1, views["lstm1.W"], views["lstm1.U"],
+    dz2 = _lstm_backward(states1, states2, cache2, views["lstm2.U"],
+                         d_states2, g["lstm2.W"], g["lstm2.U"], g["lstm2.b"])
+    d_states1 = (dz2.reshape(B * arch.input_steps, -1) @ views["lstm2.W"].T).reshape(states1.shape)
+    _lstm_backward(X, states1, cache1, views["lstm1.U"],
                    d_states1, g["lstm1.W"], g["lstm1.U"], g["lstm1.b"])
     return grad, loss
 
@@ -365,8 +361,6 @@ class TrainTrace:
 
 
 def _metrics(model, X, y):
-    if X.shape[0] == 0:
-        return float("nan"), float("nan")
     p = forward_batch(model, X)
     return float(bce_loss(p, y).mean()), float(((p >= PREDICT_THRESHOLD) == (y == 1.0)).mean())
 
@@ -390,6 +384,8 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     y_train = y[train_idx]
     if np.unique(y_train).size < 2:
         raise DegenerateInput("training split must contain both classes")
+    if test_idx.size == 0:
+        raise EmptySplit("test split is empty")
 
     mean = std = None
     if standardize:

@@ -143,6 +143,17 @@ class TestTrainCommand:
                      "--model-out", str(tmp_path / "m.json"), "--epochs", "1"])
         assert code == 5
 
+    def test_empty_test_split_exits_five(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        main(["synth", "--out", str(corpus_dir), "--syllables", "3",
+              "--duration", "0.5", "--seed", "4"])
+        model = tmp_path / "m.json"
+        code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--model-out", str(model), "--epochs", "1", "--split-ratio", "0.97"])
+        assert code == 5
+        assert "test split is empty" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_audio_exits_four(self, tmp_path):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "2",

@@ -31,15 +31,16 @@ def _loss_of(arch, params, X, y):
     return float(np.mean([nn.bce_loss(pi, yi) for pi, yi in zip(p, y)]))
 
 
-def fd_gradient(arch, params, X, y, step=1e-5):
-    """Central finite differences over every parameter."""
-    num = np.zeros_like(params)
-    for i in range(params.size):
+def fd_gradient(arch, params, X, y, step=1e-5, indices=None):
+    """Central finite differences over the given parameter indices (default: all)."""
+    indices = range(params.size) if indices is None else indices
+    num = np.zeros(len(indices))
+    for n, i in enumerate(indices):
         up = params.copy()
         up[i] += step
         down = params.copy()
         down[i] -= step
-        num[i] = (_loss_of(arch, up, X, y) - _loss_of(arch, down, X, y)) / (2 * step)
+        num[n] = (_loss_of(arch, up, X, y) - _loss_of(arch, down, X, y)) / (2 * step)
     return num
 
 
@@ -217,16 +218,17 @@ class TestBackward:
         b = rng.normal(0, 0.2, 4 * H)
         X = rng.normal(0, 1, (B, T, D))
 
-        states, cache = nn._lstm_forward(X, W, U, b, want_cache=True)
+        states, cache = nn._lstm_forward(X, W, U, b)
         dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-        nn._lstm_backward(X, cache, W, U, np.ones_like(states), dW, dU, db)
+        dz = nn._lstm_backward(X, states, cache, U, np.ones_like(states), dW, dU, db)
+        dX = dz @ W.T  # the input gradient _grad hands from LSTM-2 down to LSTM-1
 
         def loss(Wv, Uv, bv):
-            s, _ = nn._lstm_forward(X, Wv, Uv, bv, want_cache=False)
+            s, _ = nn._lstm_forward(X, Wv, Uv, bv)
             return float(s.sum())
 
         step = 1e-6
-        for target, grad in ((W, dW), (U, dU), (b, db)):
+        for target, grad in ((W, dW), (U, dU), (b, db), (X, dX)):
             it = np.nditer(target, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -238,6 +240,23 @@ class TestBackward:
                 target[idx] = orig
                 numeric = (up - down) / (2 * step)
                 assert abs(grad[idx] - numeric) <= 1e-4 * max(1.0, abs(numeric))
+
+    def test_spot_gradients_at_default_architecture(self):
+        # TINY never exercises the B*T reshapes or the states[:, :-1] / dz[:, 1:]
+        # pairing at real sizes: check a few entries of every block at 8x513
+        arch = nn.Architecture()
+        rng = np.random.default_rng(14)
+        model = _random_model(arch, 14, jitter=0.05)
+        X = rng.normal(0, 1, (2, arch.input_steps, arch.input_dim))
+        y = np.array([1.0, 0.0])
+        grad, _ = nn.backward(model, X, y)
+        picks, pos = [], 0
+        for _, shape in arch.layout():
+            size = int(np.prod(shape))
+            picks.extend(pos + rng.choice(size, min(3, size), replace=False))
+            pos += size
+        numeric = fd_gradient(arch, model.params, X, y, indices=picks)
+        assert max_rel_error(grad[picks], numeric) < 1e-4
 
     def test_zero_model_balanced_batch_symmetry(self):
         model = nn.Model.zeros(TINY)
