@@ -17,6 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, nn, scoring, synth
 from .dataset import (Cohort, filter_cohort, load_manifest, split_by_groups,
                       split_fragments)
@@ -160,6 +162,32 @@ def _load_model(path):
     return model
 
 
+def _probabilities(model, manifest):
+    """(p, y, groups) over the labeled recordings, as collect_training_fragments
+    would stack them, without stacking them: fragments stream through one
+    reused buffer of nn.FORWARD_CHUNK rows, and each full buffer, then the
+    tail, goes through the network. A chunk holds the same rows as the
+    stack's slice of that chunk, so p is bit for bit what one forward_batch
+    over the stack gives."""
+    chunk = np.empty((nn.FORWARD_CHUNK, FRAGMENT_FRAMES, N_BINS))
+    p, labels, groups = [], [], []
+    filled = 0
+    for rec, frags in corpus.labeled_fragments(manifest, model.dsp_config):
+        for frag in frags:
+            chunk[filled] = frag.values
+            filled += 1
+            if filled == len(chunk):
+                p.append(nn.forward_batch(model, model.standardize(chunk)))
+                filled = 0
+        labels += [rec.class_label] * len(frags)
+        groups += [rec.key()] * len(frags)
+    if not groups:
+        raise DegenerateInput("no fragments survived preprocessing")
+    if filled:
+        p.append(nn.forward_batch(model, model.standardize(chunk[:filled])))
+    return np.concatenate(p), np.asarray(labels, dtype=np.float64), groups
+
+
 def cmd_eval(args):
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
@@ -174,8 +202,7 @@ def cmd_eval(args):
     split_by = meta.get("split_by", "fragment")
     members = [{r.key() for r in filter_cohort(manifest, c).records} for c in cohorts]  # all before any read
     union = replace(manifest, records=tuple(r for r in manifest.records if any(r.key() in m for m in members)))
-    X, y, groups = corpus.collect_training_fragments(union, model.dsp_config)
-    p = nn.forward_batch(model, model.standardize(X))
+    p, y, groups = _probabilities(model, union)
     reports = []
     for cohort, keys in zip(cohorts, members):
         rows = [i for i, key in enumerate(groups) if key in keys]  # in canonical order, as if read alone

@@ -2,7 +2,10 @@
 
 Records are processed in canonical (patient, session, syllable) order, so
 the fragment arrays, and everything trained from them, do not depend on the
-line order of the manifest file.
+line order of the manifest file. Each recording is read and cut only when
+its turn comes: a caller that consumes the fragments of
+`labeled_fragments` as they arrive (eval) holds one recording's at a time,
+while the collect_* functions stack a whole set.
 """
 
 import logging
@@ -21,16 +24,23 @@ def _sorted_records(manifest, sessions):
     return sorted(recs, key=lambda r: (r.patient_id, r.session_index, r.syllable_id))
 
 
-def _stack_records(manifest, records, cfg):
-    """The records' fragments as one (N, 8, 513) float64 stack, in record
-    order, and the rows each record gave (0 for one that gated away); the
-    stack is None when no record gave any."""
-    rows, counts = [], []
+def _read_fragments(manifest, records, cfg):
+    """Yield each record's fragment list, in record order; the list is empty
+    for a recording that gated away."""
     for rec in records:
-        frags = pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
-        rows.extend(frag.values for frag in frags)
-        counts.append(len(frags))
-    return (np.stack(rows) if rows else None), counts
+        yield pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
+
+
+def labeled_fragments(manifest, cfg):
+    """Yield (record, fragments) for the two labeled sessions, canonical order.
+
+    A recording that gates away entirely yields an empty list and is logged.
+    """
+    records = _sorted_records(manifest, sessions=(1, 2))
+    for rec, frags in zip(records, _read_fragments(manifest, records, cfg)):
+        if not frags:
+            logger.warning("recording %s produced no fragments (gated or too short)", rec.key())
+        yield rec, frags
 
 
 def collect_training_fragments(manifest, cfg):
@@ -41,17 +51,14 @@ def collect_training_fragments(manifest, cfg):
     leakage-free splitting at recording granularity). Recordings that gate
     away entirely contribute nothing and are logged.
     """
-    records = _sorted_records(manifest, sessions=(1, 2))
-    X, counts = _stack_records(manifest, records, cfg)
-    labels, groups = [], []
-    for rec, n in zip(records, counts):
-        if not n:
-            logger.warning("recording %s produced no fragments (gated or too short)", rec.key())
-        labels += [rec.class_label] * n
-        groups += [rec.key()] * n
-    if X is None:
+    rows, labels, groups = [], [], []
+    for rec, frags in labeled_fragments(manifest, cfg):
+        rows += [frag.values for frag in frags]
+        labels += [rec.class_label] * len(frags)
+        groups += [rec.key()] * len(frags)
+    if not rows:
         raise DegenerateInput("no fragments survived preprocessing")
-    return X, np.asarray(labels, dtype=np.float64), groups
+    return np.stack(rows), np.asarray(labels, dtype=np.float64), groups
 
 
 def collect_session_fragments(manifest, patient_id, session_index, cfg):
@@ -62,10 +69,13 @@ def collect_session_fragments(manifest, patient_id, session_index, cfg):
     recording gated away. A session with no fragments at all is EmptySession.
     """
     records = [r for r in _sorted_records(manifest, sessions=(session_index,)) if r.patient_id == patient_id]
-    X, counts = _stack_records(manifest, records, cfg)
-    if X is None:
+    rows, counts = [], []
+    for frags in _read_fragments(manifest, records, cfg):
+        rows += [frag.values for frag in frags]
+        counts.append(len(frags))
+    if not rows:
         raise EmptySession(f"session {session_index} of patient {patient_id} has no fragments")
-    return X, records, counts
+    return np.stack(rows), records, counts
 
 
 def scoreable_sessions(manifest, patient_id=None):

@@ -37,6 +37,7 @@ from .errors import CorruptFile, DegenerateInput, EmptySplit, ShapeMismatch, Ver
 BCE_EPS = 1e-7
 PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
 FORWARD_CHUNK = 512  # fragments per forward call; bounds the LSTM state arrays
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
@@ -371,6 +372,8 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     X is the raw fragment stack (N, steps, input_dim); y the binary labels.
     With standardize=True, per-bin mean/std are computed over the training
     fragments, applied everywhere, and frozen into the returned model.
+    A non-finite batch loss, gradient norm or epoch loss, or a parameter
+    beyond float32 range, raises DegenerateInput naming the epoch (and step).
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X)
@@ -404,15 +407,17 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     trace = TrainTrace()
 
     n_train = X_train.shape[0]
-    for _epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
+        for step, start in enumerate(range(0, n_train, config.batch_size), start=1):
             sel = order[start : start + config.batch_size]
-            grad, _ = _grad(arch, params, X_train[sel], y_train[sel])
-            if config.clip_norm is not None:
-                norm = float(np.linalg.norm(grad))
-                if norm > config.clip_norm:
-                    grad *= config.clip_norm / norm
+            grad, loss = _grad(arch, params, X_train[sel], y_train[sel])
+            norm = float(np.linalg.norm(grad))
+            if not (np.isfinite(loss) and np.isfinite(norm)):
+                raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
+                                      f"batch loss {loss}, gradient norm {norm}")
+            if config.clip_norm is not None and norm > config.clip_norm:
+                grad *= config.clip_norm / norm
             adam_step(params, grad, state, lr=config.learning_rate)
         loss, acc = _metrics(current, X_train, y_train)
         trace.train_loss.append(loss)
@@ -420,6 +425,11 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
         loss, acc = _metrics(current, X_test, y_test)
         trace.test_loss.append(loss)
         trace.test_accuracy.append(acc)
+        largest = float(max(params.max(), -params.min()))  # nan if any parameter is
+        if not (np.isfinite(trace.train_loss[-1]) and np.isfinite(loss) and largest <= F32_MAX):
+            raise DegenerateInput(f"training diverged in epoch {epoch}: train loss {trace.train_loss[-1]}, "
+                                  f"test loss {loss}, largest parameter {largest:.3g} "
+                                  f"(a model file holds at most {F32_MAX:.3g})")
 
     meta = {
         "seed": config.seed,

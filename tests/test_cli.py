@@ -154,6 +154,25 @@ class TestTrainCommand:
         assert "test split is empty" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("extra, where", [
+        ([], "in epoch 1:"),  # the epoch's metrics are the first non-finite values
+        (["--no-clip"], "in epoch 1:"),
+        (["--batch-size", "1"], "at epoch 1, step 2:"),  # a batch loss is
+        (["--epochs", "1"], "in epoch 1:"),  # the last epoch too: nothing non-finite is written
+    ])
+    def test_diverging_training_exits_five(self, tmp_path, capsys, extra, where):
+        corpus_dir = tmp_path / "c"
+        main(["synth", "--out", str(corpus_dir), "--syllables", "3",
+              "--duration", "0.5", "--seed", "4"])
+        model = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"), "--model-out", str(model),
+                         "--epochs", "2", "--learning-rate", "1e308", *extra])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"training diverged {where}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
+
     def test_missing_audio_exits_four(self, tmp_path):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "2",
