@@ -42,7 +42,7 @@ nn.save_model(model, model_path)
 reloaded = nn.load_model(model_path)
 print(f"\nModel stored at {model_path} "
       f"({model_path.stat().st_size / 1e6:.1f} MB, {model.arch.param_count} parameters)")
-p_stored = nn.forward(reloaded, X[0])
+p_stored = nn.forward_batch(reloaded, X[:1])[0]
 nn.save_model(reloaded, work / "model_again.json")
-p_again = nn.forward(nn.load_model(work / "model_again.json"), X[0])
+p_again = nn.forward_batch(nn.load_model(work / "model_again.json"), X[:1])[0]
 print("  round trip at stored precision is exact:", p_stored == p_again)

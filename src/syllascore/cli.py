@@ -63,12 +63,12 @@ def _dsp_from_args(args):
 
 
 def _add_dsp_flags(sub):
-    sub.add_argument("--hop", type=int, default=256, help="STFT hop in samples")
-    sub.add_argument("--window", choices=["hann", "rect"], default="hann")
-    sub.add_argument("--gate-ratio", type=float, default=1e-4,
+    sub.add_argument("--hop", type=int, default=DspConfig.hop, help="STFT hop in samples")
+    sub.add_argument("--window", choices=["hann", "rect"], default=DspConfig.window)
+    sub.add_argument("--gate-ratio", type=float, default=DspConfig.gate_ratio,
                      help="frame energy threshold relative to the loudest frame")
-    sub.add_argument("--log-floor", type=float, default=1e-10)
-    sub.add_argument("--fragment-hop", type=int, default=8,
+    sub.add_argument("--log-floor", type=float, default=DspConfig.log_floor)
+    sub.add_argument("--fragment-hop", type=int, default=DspConfig.fragment_hop,
                      help="frames between fragment starts (8 = non-overlapping)")
     sub.add_argument("--no-log", action="store_true", help="keep raw magnitudes (ablation)")
 
@@ -128,7 +128,7 @@ def cmd_train(args):
             batch_size=args.batch_size,
             epochs=args.epochs,
             seed=args.seed,
-            clip_norm=None if args.no_clip else 5.0,
+            clip_norm=None if args.no_clip else nn.TrainConfig.clip_norm,
         )
     except ValueError as exc:
         return _fail_usage(exc)
@@ -252,22 +252,23 @@ def build_parser():
 
     p = commands.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--patients", type=int, default=1)
-    p.add_argument("--syllables", type=int, default=20)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--duration", type=float, default=0.8, help="seconds per syllable")
-    p.add_argument("--formant-shift", type=float, default=300.0,
+    p.add_argument("--patients", type=int, default=synth.SynthSpec.n_patients)
+    p.add_argument("--syllables", type=int, default=synth.SynthSpec.syllables_per_set)
+    p.add_argument("--sample-rate", type=int, default=synth.SynthSpec.sample_rate_hz)
+    p.add_argument("--duration", type=float, default=synth.SynthSpec.duration_s, help="seconds per syllable")
+    p.add_argument("--formant-shift", type=float, default=synth.SynthSpec.formant_shift_hz,
                    help="formant displacement in Hz at severity 1")
-    p.add_argument("--tilt", type=float, default=9.0, help="spectral tilt in dB/octave at severity 1")
-    p.add_argument("--snr-clean", type=float, default=40.0)
-    p.add_argument("--snr-worst", type=float, default=10.0)
-    p.add_argument("--articulation-spread", type=float, default=0.3,
+    p.add_argument("--tilt", type=float, default=synth.SynthSpec.tilt_db_per_octave,
+                   help="spectral tilt in dB/octave at severity 1")
+    p.add_argument("--snr-clean", type=float, default=synth.SynthSpec.snr_clean_db)
+    p.add_argument("--snr-worst", type=float, default=synth.SynthSpec.snr_worst_db)
+    p.add_argument("--articulation-spread", type=float, default=synth.SynthSpec.articulation_spread,
                    help="per-recording severity jitter half-width")
     p.add_argument("--severities", default=None,
                    help="comma-separated severities for rehabilitation sessions 3..k")
     p.add_argument("--expert-marks", action="store_true",
                    help="attach rule-based expert marks (1 when severity < 0.5)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=synth.SynthSpec.seed)
     add_config_flag(p)
     p.set_defaults(func=cmd_synth)
 
@@ -277,10 +278,10 @@ def build_parser():
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out", default=None,
                    help="per-epoch trace csv (default: <model-out>.trace.csv)")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=nn.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=nn.TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=nn.TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=nn.TrainConfig.seed)
     p.add_argument("--no-clip", action="store_true", help="disable gradient norm clipping")
     p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--split-by", choices=["fragment", "syllable"], default="fragment",

@@ -83,29 +83,17 @@ class Cohort:
     arg: Optional[str] = None
 
     @classmethod
-    def all(cls):
-        return cls(COHORT_ALL)
-
-    @classmethod
-    def individual(cls, patient_id):
-        return cls(COHORT_INDIVIDUAL, patient_id)
-
-    @classmethod
-    def sex(cls, which):
-        if which not in ("m", "f"):
-            raise ValueError("sex cohort must be 'm' or 'f'")
-        return cls(COHORT_SEX, which)
-
-    @classmethod
     def parse(cls, text):
         """Parse 'all', 'individual:<id>' or 'sex:<m|f>'."""
         if text == COHORT_ALL:
-            return cls.all()
+            return cls(COHORT_ALL)
         kind, sep, arg = text.partition(":")
         if kind == COHORT_INDIVIDUAL and sep and arg:
-            return cls.individual(arg)
+            return cls(kind, arg)
         if kind == COHORT_SEX and sep:
-            return cls.sex(arg)
+            if arg not in ("m", "f"):
+                raise ValueError("sex cohort must be 'm' or 'f'")
+            return cls(kind, arg)
         raise ValueError(f"bad cohort selector {text!r} (want all, individual:<id>, sex:<m|f>)")
 
     def __str__(self):
@@ -184,10 +172,9 @@ def _incomplete_pairs(records):
     return missing
 
 
-def _check_files(records, root):
-    for rec in records:
-        p = Path(rec.audio_path)
-        full = p if p.is_absolute() else root / p
+def _check_files(manifest):
+    for rec in manifest.records:
+        full = manifest.resolve_audio(rec)
         if not os.path.isfile(full):  # False, not an error, for a name the OS refuses
             raise ValidationError(f"record {rec.key()}: audio file {full} does not exist")
 
@@ -249,9 +236,9 @@ def load_manifest(path, drop_incomplete=False):
         logger.warning("dropping incomplete patients from manifest: %s", ", ".join(sorted(dropped)))
         records = [r for r in records if r.patient_id not in dropped]
         patient_sex = {p: s for p, s in patient_sex.items() if p not in dropped}
-    root = path.parent
-    _check_files(records, root)
-    return Manifest(tuple(records), sample_rate, patient_sex, root)
+    manifest = Manifest(tuple(records), sample_rate, patient_sex, path.parent)
+    _check_files(manifest)
+    return manifest
 
 
 def save_manifest(manifest, path):
@@ -272,7 +259,7 @@ def save_manifest(manifest, path):
 
 
 def filter_cohort(manifest, cohort):
-    """Restrict a manifest to one cohort (identity for Cohort.all())."""
+    """Restrict a manifest to one cohort (identity for the 'all' cohort)."""
     if cohort.kind == COHORT_ALL:
         return manifest
     if cohort.kind == COHORT_INDIVIDUAL:

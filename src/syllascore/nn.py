@@ -219,20 +219,11 @@ class Model:
                 and np.all(self.input_std > 0)):
             raise ValueError(f"standardization needs {self.arch.input_dim} finite means and stds > 0")
 
-    @classmethod
-    def zeros(cls, arch, **kwargs):
-        return cls(arch, np.zeros(arch.param_count), **kwargs)
-
     def standardize(self, X):
         """Apply the frozen training-time per-bin statistics, if any."""
         if self.input_mean is None:
             return X
         return (X - self.input_mean) / self.input_std
-
-
-def forward(model, fragment):
-    """Class-membership probability in [0, 1] for one fragment."""
-    return float(forward_batch(model, np.asarray(fragment)[None])[0])
 
 
 def forward_batch(model, X):
@@ -307,10 +298,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
 
-    @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros(n), np.zeros(n), 0)
-
 
 def adam_step(params, grads, state, lr=1e-3):
     """One Adam update with bias correction; mutates params and state."""
@@ -353,10 +340,6 @@ class TrainTrace:
     test_loss: list[float] = field(default_factory=list)
     test_accuracy: list[float] = field(default_factory=list)
 
-    @property
-    def n_epochs(self):
-        return len(self.train_loss)
-
     def rows(self):
         return list(zip(self.train_loss, self.train_accuracy, self.test_loss, self.test_accuracy))
 
@@ -366,6 +349,7 @@ def _metrics(model, X, y):
     return float(bce_loss(p, y).mean()), float(((p >= PREDICT_THRESHOLD) == (y == 1.0)).mean())
 
 
+@np.errstate(all="ignore")  # divergence is caught by the explicit checks below, not by warnings
 def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, extra_meta=None):
     """Train the classifier on the given split; fully seeded and deterministic.
 
@@ -403,7 +387,7 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
     current = Model(arch, params)  # shares params, which adam_step updates in place
-    state = AdamState.zeros(arch.param_count)
+    state = AdamState(np.zeros_like(params), np.zeros_like(params))
     trace = TrainTrace()
 
     n_train = X_train.shape[0]

@@ -34,7 +34,11 @@ logger = logging.getLogger(__name__)
 _EDGE_FADE_S = 0.05
 _TILT_REF_HZ = 200.0
 _PEAK = 0.95
+_MAX_DURATION_S = 30.0
+_MAX_SAMPLE_RATE_HZ = 192000  # keeps a recording's size far inside memory and the WAV header
 
+_SYLLABLE_SET = "problem90"
+_F0_RANGE = (90.0, 220.0)  # per-patient fundamental
 _F1_RANGE = (300.0, 800.0)
 _F2_RANGE = (1100.0, 2000.0)
 _F3_RANGE = (2300.0, 3000.0)
@@ -49,29 +53,28 @@ class SynthSpec:
     syllables_per_set: int = 20
     sample_rate_hz: int = 16000
     duration_s: float = 0.8
-    f0_min_hz: float = 90.0
-    f0_max_hz: float = 220.0
     formant_shift_hz: float = 300.0  # severity-1 displacement of every formant
     tilt_db_per_octave: float = 9.0  # severity-1 spectral tilt above 200 Hz
     snr_clean_db: float = 40.0
     snr_worst_db: float = 10.0
     articulation_spread: float = 0.3  # per-recording severity jitter half-width
-    syllable_set: str = "problem90"
     seed: int = 0
 
     def __post_init__(self):
-        floats = (self.duration_s, self.f0_min_hz, self.f0_max_hz, self.formant_shift_hz,
-                  self.tilt_db_per_octave, self.snr_clean_db, self.snr_worst_db, self.articulation_spread)
+        floats = (self.duration_s, self.formant_shift_hz, self.tilt_db_per_octave,
+                  self.snr_clean_db, self.snr_worst_db, self.articulation_spread)
         if not np.all(np.isfinite(floats)):
             raise ValueError("synthesis parameters must be finite")
         if self.n_patients < 1 or self.syllables_per_set < 1:
             raise ValueError("need at least one patient and one syllable")
         if self.sample_rate_hz < 8000:
             raise ValueError("sample rate must cover the formant range")
+        if self.sample_rate_hz > _MAX_SAMPLE_RATE_HZ:
+            raise ValueError(f"sample rate must be at most {_MAX_SAMPLE_RATE_HZ} Hz")
+        if self.duration_s > _MAX_DURATION_S:
+            raise ValueError(f"syllables must last at most {_MAX_DURATION_S:g} s")
         if self.duration_s * self.sample_rate_hz < 2048:
             raise ValueError("syllables must span at least two analysis frames")
-        if not 0 < self.f0_min_hz <= self.f0_max_hz:
-            raise ValueError("bad fundamental range")
         if not 0.0 <= self.articulation_spread <= 0.4:
             raise ValueError("articulation_spread must be in [0, 0.4] to keep the classes apart")
 
@@ -90,7 +93,7 @@ def _stream(seed, *tags):
 
 def _patient_f0(spec, patient_id):
     rng = _stream(spec.seed, "f0", patient_id)
-    return float(rng.uniform(spec.f0_min_hz, spec.f0_max_hz))
+    return float(rng.uniform(*_F0_RANGE))
 
 
 def _patient_sex(spec, patient_id):
@@ -181,7 +184,7 @@ def _write_record(spec, out_dir, patient_id, session_index, syllable_id, severit
     write_wav(Path(out_dir) / rel, buf)
     # the rule-based expert judges the articulation actually produced
     expert_mark = (1 if effective < 0.5 else 0) if mark_rule else None
-    return SyllableRecord(patient_id, session_index, syllable_id, spec.syllable_set,
+    return SyllableRecord(patient_id, session_index, syllable_id, _SYLLABLE_SET,
                           rel, class_label, expert_mark)
 
 

@@ -239,10 +239,10 @@ def test_criterion_8_round_trips(accept_run, tmp_path):
     model = nn.load_model(accept_run["model"])
     rng = np.random.default_rng(8)
     frag = rng.normal(0.0, 1.0, (8, 513))
-    p0 = nn.forward(model, frag)
+    p0 = nn.forward_batch(model, frag[None])[0]
     nn.save_model(model, tmp_path / "again.json")
     reloaded = nn.load_model(tmp_path / "again.json")
-    model_ok = nn.forward(reloaded, frag) == p0
+    model_ok = nn.forward_batch(reloaded, frag[None])[0] == p0
     nn.save_model(reloaded, tmp_path / "again2.json")
     model_ok &= (tmp_path / "again2.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 

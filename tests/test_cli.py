@@ -69,6 +69,8 @@ BAD_VALUES = [
     ["synth", "--articulation-spread", "0.5"],
     ["synth", "--patients", "0"],
     ["synth", "--duration", "nan"],
+    ["synth", "--duration", "1e300"],  # finite, but far beyond memory: refused before any allocation
+    ["synth", "--sample-rate", "4294967296"],  # would not fit a WAV header
     ["train", "--hop", "0"],
     ["train", "--gate-ratio", "2"],
     ["train", "--split-ratio", "1.5"],
@@ -160,17 +162,18 @@ class TestTrainCommand:
         (["--batch-size", "1"], "at epoch 1, step 2:"),  # a batch loss is
         (["--epochs", "1"], "in epoch 1:"),  # the last epoch too: nothing non-finite is written
     ])
+    @pytest.mark.filterwarnings("error")  # the explicit checks stop divergence, not a numpy warning
     def test_diverging_training_exits_five(self, tmp_path, capsys, extra, where):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "3",
               "--duration", "0.5", "--seed", "4"])
+        capsys.readouterr()
         model = tmp_path / "m.json"
-        with np.errstate(all="ignore"):
-            code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"), "--model-out", str(model),
-                         "--epochs", "2", "--learning-rate", "1e308", *extra])
+        code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"), "--model-out", str(model),
+                     "--epochs", "2", "--learning-rate", "1e308", *extra])
         assert code == 5
         err = capsys.readouterr().err
-        assert f"training diverged {where}" in err and "Traceback" not in err
+        assert err.startswith(f"error: training diverged {where}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
 
     def test_missing_audio_exits_four(self, tmp_path):
@@ -373,7 +376,8 @@ class TestModelFile:
     def test_model_for_other_inputs_exits_three(self, cli_run, tmp_path, capsys, command):
         corpus_dir, _, _ = cli_run
         path = tmp_path / "wide.json"
-        nn.save_model(nn.Model.zeros(nn.Architecture(input_dim=100)), path)
+        arch = nn.Architecture(input_dim=100)
+        nn.save_model(nn.Model(arch, np.zeros(arch.param_count)), path)
         assert main([command, "--model", str(path),
                      "--manifest", str(corpus_dir / "manifest.txt")]) == 3
         assert "8x513" in capsys.readouterr().err
@@ -530,6 +534,41 @@ class TestReportCommand:
 
     def test_missing_input_exits_three(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.json")]) == 3
+
+
+class TestRelations:
+    """What one output says must equal what another says about the same thing."""
+
+    @pytest.mark.parametrize("extra", [[], ["--fragment-mean"]], ids=["syllable_mean", "fragment_mean"])
+    def test_one_session_scores_as_in_the_full_run(self, cli_run, tmp_path, extra):
+        corpus_dir, model_path, _ = cli_run
+        out = tmp_path / "scores.json"
+
+        def reports(*sessions):
+            assert main(["score", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
+                         *extra, *sessions, "--format", "json", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["reports"]
+
+        full = reports()
+        assert [r["session_index"] for r in full] == [3, 4]
+        for report in full:
+            assert reports("--sessions", str(report["session_index"])) == [report]
+
+    @pytest.mark.parametrize("command", [
+        ["eval"],
+        ["eval", "--cohort", "all", "--cohort", "individual:P001"],
+        ["score", "--expert-marks"],
+    ], ids=["eval_report", "eval_grid", "score_grid"])
+    def test_report_renders_the_bytes_of_the_direct_run(self, cli_run, tmp_path, command):
+        corpus_dir, model_path, _ = cli_run
+        argv = [*command, "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt")]
+        doc = tmp_path / "doc.json"
+        assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
+        for fmt in ("text", "csv", "json"):
+            direct, again = tmp_path / f"direct.{fmt}", tmp_path / f"again.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(direct)]) == 0
+            assert main(["report", "--in", str(doc), "--format", fmt, "--out", str(again)]) == 0
+            assert again.read_bytes() == direct.read_bytes()
 
 
 class TestConfigFile:

@@ -165,31 +165,31 @@ def test_appended_lines_raise_only_package_errors(minimal_dir, lines, drop_incom
 class TestFilterCohort:
     def test_all_is_identity(self, tmp_path):
         m = load_manifest(_write_manifest(tmp_path, TWO_PATIENTS))
-        assert filter_cohort(m, Cohort.all()) is m
+        assert filter_cohort(m, Cohort("all")) is m
 
     def test_individual_keeps_one_patient_and_is_idempotent(self, tmp_path):
         m = load_manifest(_write_manifest(tmp_path, TWO_PATIENTS))
-        sub = filter_cohort(m, Cohort.individual("P"))
+        sub = filter_cohort(m, Cohort("individual", "P"))
         assert sub.patients() == ["P"]
         assert len(sub.records) == 6
-        again = filter_cohort(sub, Cohort.individual("P"))
+        again = filter_cohort(sub, Cohort("individual", "P"))
         assert again.records == sub.records
 
     def test_sex_cohort(self, tmp_path):
         m = load_manifest(_write_manifest(tmp_path, TWO_PATIENTS))
-        assert filter_cohort(m, Cohort.sex("f")).patients() == ["Q"]
+        assert filter_cohort(m, Cohort("sex", "f")).patients() == ["Q"]
 
     def test_empty_cohort(self, tmp_path):
         m = load_manifest(_write_manifest(tmp_path, MINIMAL))
         with pytest.raises(EmptyCohort):
-            filter_cohort(m, Cohort.sex("f"))
+            filter_cohort(m, Cohort("sex", "f"))
         with pytest.raises(EmptyCohort):
-            filter_cohort(m, Cohort.individual("nobody"))
+            filter_cohort(m, Cohort("individual", "nobody"))
 
     def test_parse(self):
-        assert Cohort.parse("all") == Cohort.all()
-        assert Cohort.parse("individual:P7") == Cohort.individual("P7")
-        assert Cohort.parse("sex:f") == Cohort.sex("f")
+        assert Cohort.parse("all") == Cohort("all")
+        assert Cohort.parse("individual:P7") == Cohort("individual", "P7")
+        assert Cohort.parse("sex:f") == Cohort("sex", "f")
         for bad in ("", "sex:x", "individual:", "men"):
             with pytest.raises(ValueError):
                 Cohort.parse(bad)

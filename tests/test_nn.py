@@ -87,17 +87,17 @@ class TestForward:
     def test_zero_parameters_fixed_point(self):
         # every gate sigmoid(0) = 0.5 but the candidate tanh(0) = 0 keeps
         # c = h = 0; dense stack stays 0; hard_sigmoid(0) = 0.5
-        model = nn.Model.zeros(TINY)
+        model = nn.Model(TINY, np.zeros(TINY.param_count))
         rng = np.random.default_rng(0)
         for _ in range(5):
             frag = rng.normal(0, 3, (4, 2))
-            assert nn.forward(model, frag) == 0.5
+            assert nn.forward_batch(model, frag[None])[0] == 0.5
 
     def test_scalar_chain_hand_computed(self):
         arch = nn.Architecture(input_steps=1, input_dim=1, lstm1_units=1,
                                lstm2_units=1, dense1_units=1, dense2_units=1)
         model = nn.Model(arch, np.ones(arch.param_count))
-        got = nn.forward(model, np.array([[1.0]]))
+        got = nn.forward_batch(model, np.array([[[1.0]]]))[0]
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -123,7 +123,7 @@ class TestForward:
         for name in ("lstm1.b", "lstm2.b", "dense1.b", "dense2.b", "dense3.b"):
             views[name][...] = 0.0
         model = nn.Model(arch, params)
-        got = nn.forward(model, np.array([[1.0]]))
+        got = nn.forward_batch(model, np.array([[[1.0]]]))[0]
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -143,18 +143,11 @@ class TestForward:
             assert np.all(np.isfinite(p))
 
     def test_shape_mismatch(self):
-        model = nn.Model.zeros(TINY)
+        model = nn.Model(TINY, np.zeros(TINY.param_count))
         with pytest.raises(ShapeMismatch):
-            nn.forward(model, np.zeros((5, 2)))
+            nn.forward_batch(model, np.zeros((5, 2))[None])
         with pytest.raises(ShapeMismatch):
             nn.forward_batch(model, np.zeros((3, 4, 3)))
-
-    def test_single_fragment_is_one_row_of_the_batch(self):
-        model = _random_model(TINY, 4, jitter=0.3)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            x = rng.normal(0, 2, (4, 2))
-            assert nn.forward(model, x) == nn.forward_batch(model, x[None])[0]
 
 
 class TestBceLoss:
@@ -171,14 +164,14 @@ class TestBceLoss:
 class TestAdam:
     def test_first_step_hand_value(self):
         params = np.array([0.0])
-        state = nn.AdamState.zeros(1)
+        state = nn.AdamState(np.zeros(1), np.zeros(1))
         nn.adam_step(params, np.array([1.0]), state)
         assert params[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
         assert state.t == 1
 
     def test_zero_gradient_moves_nothing(self):
         params = np.array([1.5])
-        state = nn.AdamState.zeros(1)
+        state = nn.AdamState(np.zeros(1), np.zeros(1))
         nn.adam_step(params, np.array([0.0]), state)
         assert params[0] == 1.5
 
@@ -192,7 +185,7 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         params = np.array([0.3])
-        state = nn.AdamState.zeros(1)
+        state = nn.AdamState(np.zeros(1), np.zeros(1))
         for _ in range(5):
             nn.adam_step(params, np.array([g]), state)
         assert params[0] == pytest.approx(theta, abs=1e-12)
@@ -259,7 +252,7 @@ class TestBackward:
         assert max_rel_error(grad[picks], numeric) < 1e-4
 
     def test_zero_model_balanced_batch_symmetry(self):
-        model = nn.Model.zeros(TINY)
+        model = nn.Model(TINY, np.zeros(TINY.param_count))
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (2, 4, 2))
         y = np.array([0.0, 1.0])
@@ -276,13 +269,13 @@ class TestBackward:
         views["dense3.b"][...] = 50.0  # pins hard_sigmoid at 1
         model = nn.Model(TINY, params)
         X = np.random.default_rng(3).normal(0, 1, (2, 4, 2))
-        assert nn.forward(model, X[0]) == 1.0
+        assert nn.forward_batch(model, X[:1])[0] == 1.0
         grad, loss = nn.backward(model, X, np.array([1.0, 0.0]))
         assert np.all(grad == 0.0)
         assert loss > 0
 
     def test_empty_batch_rejected(self):
-        model = nn.Model.zeros(TINY)
+        model = nn.Model(TINY, np.zeros(TINY.param_count))
         with pytest.raises(ShapeMismatch):
             nn.backward(model, np.zeros((0, 4, 2)), np.zeros(0))
 
@@ -305,7 +298,7 @@ class TestTrain:
         split = split_fragments(len(y), y, ratio=0.8, seed=4)
         config = nn.TrainConfig(epochs=10, seed=4)
         model, trace = nn.train(X, y, split, config)
-        assert trace.n_epochs == 10
+        assert len(trace.train_loss) == 10
         assert max(trace.test_accuracy) >= 0.95
         assert trace.train_loss[-1] < trace.train_loss[0]
 
@@ -366,10 +359,10 @@ class TestModelFile:
                                       model.params.astype(np.float32).astype(np.float64))
         rng = np.random.default_rng(0)
         frag = rng.normal(0, 1, (4, 2))
-        p1 = nn.forward(loaded, frag)
+        p1 = nn.forward_batch(loaded, frag[None])[0]
         nn.save_model(loaded, tmp_path / "m2.json")
         again = nn.load_model(tmp_path / "m2.json")
-        assert nn.forward(again, frag) == p1  # zero-ulp reproduction
+        assert nn.forward_batch(again, frag[None])[0] == p1  # zero-ulp reproduction
         nn.save_model(again, tmp_path / "m3.json")
         assert (tmp_path / "m3.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
         assert loaded.train_meta == model.train_meta

@@ -16,7 +16,7 @@ TINY = nn.Architecture(input_steps=4, input_dim=2, lstm1_units=2, lstm2_units=2,
 
 class TestScoreSession:
     def test_constant_half_model(self):
-        model = nn.Model.zeros(TINY)  # outputs 0.5 everywhere
+        model = nn.Model(TINY, np.zeros(TINY.param_count))  # outputs 0.5 everywhere
         frags = np.random.default_rng(0).normal(0, 1, (3, 4, 2))
         report = score_session({"sa": nn.forward_batch(model, frags)}, "P", 3)
         assert report.session_score == 0.5

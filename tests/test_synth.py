@@ -63,6 +63,21 @@ class TestGenerateCorpus:
             assert np.max(np.abs(buf.samples)) <= 1.0
 
 
+class TestSpec:
+    @pytest.mark.parametrize("kwargs", [
+        {"duration_s": 30.001},
+        {"duration_s": 1e300},
+        {"sample_rate_hz": 192001},
+        {"sample_rate_hz": 2**32},
+    ])
+    def test_refuses_recordings_too_large_to_render(self, kwargs):
+        with pytest.raises(ValueError, match="at most"):
+            SynthSpec(**kwargs)
+
+    def test_largest_recording_is_accepted(self):
+        SynthSpec(duration_s=30.0, sample_rate_hz=192000)  # constructing renders nothing
+
+
 class TestSeverityModel:
     def test_session_severities(self):
         assert severity_for_session(1) == 0.0
