@@ -13,7 +13,7 @@ from .dataset import (Cohort, Manifest, SplitAssignment, SyllableRecord,
 from .dsp import (DspConfig, Fragment, Spectrogram, gate_silence, log_compress,
                   pipeline, slice_fragments, stft_magnitude)
 from .nn import (AdamState, Architecture, Model, TrainConfig, TrainTrace,
-                 adam_step, backward, bce_loss, forward_batch,
+                 adam_step, backward, bce_loss, forward_batch, forward_stream,
                  hard_sigmoid, init_params, load_model, save_model, train)
 from .scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
                       pearson, render, score_session, score_sessions)

@@ -164,27 +164,30 @@ def _load_model(path):
 
 def _probabilities(model, manifest):
     """(p, y, groups) over the labeled recordings, as collect_training_fragments
-    would stack them, without stacking them: fragments stream through one
-    reused buffer of nn.FORWARD_CHUNK rows, and each full buffer, then the
-    tail, goes through the network. A chunk holds the same rows as the
-    stack's slice of that chunk, so p is bit for bit what one forward_batch
-    over the stack gives."""
-    chunk = np.empty((nn.FORWARD_CHUNK, FRAGMENT_FRAMES, N_BINS))
-    p, labels, groups = [], [], []
-    filled = 0
-    for rec, frags in corpus.labeled_fragments(manifest, model.dsp_config):
-        for frag in frags:
-            chunk[filled] = frag.values
-            filled += 1
-            if filled == len(chunk):
-                p.append(nn.forward_batch(model, model.standardize(chunk)))
-                filled = 0
-        labels += [rec.class_label] * len(frags)
-        groups += [rec.key()] * len(frags)
+    would stack them, without stacking them: fragments stream into chunks of
+    nn.FORWARD_CHUNK rows, and each full chunk, then the tail, goes through
+    the network on nn.forward_stream's worker while the next chunk is read.
+    A chunk holds the same rows as the stack's slice of that chunk, so p is
+    bit for bit what one forward_batch over the stack gives."""
+    labels, groups = [], []
+
+    def chunks():
+        chunk, filled = np.empty((nn.FORWARD_CHUNK, FRAGMENT_FRAMES, N_BINS)), 0
+        for rec, frags in corpus.labeled_fragments(manifest, model.dsp_config):
+            for frag in frags:
+                chunk[filled] = frag.values
+                filled += 1
+                if filled == len(chunk):
+                    yield model.standardize(chunk)
+                    chunk, filled = np.empty_like(chunk), 0  # the full one may still be in the network
+            labels.extend([rec.class_label] * len(frags))
+            groups.extend([rec.key()] * len(frags))
+        if filled:
+            yield model.standardize(chunk[:filled])
+
+    p = list(nn.forward_stream(model, chunks()))
     if not groups:
         raise DegenerateInput("no fragments survived preprocessing")
-    if filled:
-        p.append(nn.forward_batch(model, model.standardize(chunk[:filled])))
     return np.concatenate(p), np.asarray(labels, dtype=np.float64), groups
 
 

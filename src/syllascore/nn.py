@@ -24,6 +24,7 @@ probability (1 = pre-operation reference class).
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -236,6 +237,28 @@ def forward_batch(model, X):
     return out
 
 
+def forward_stream(model, batches):
+    """Yield forward_batch(model, X) for each array X of batches, in order.
+
+    Each forward runs on one worker thread while the next X is drawn from
+    batches on the calling thread; BLAS and numpy's large loops release the
+    GIL, so a generator that reads and cuts recordings overlaps the network.
+    At most one forward runs while one batch is drawn. If batches raises,
+    the forward in flight finishes first and that exception propagates; a
+    forward's own exception comes out where its result would. No thread
+    outlives the call.
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for X in batches:
+            running = worker.submit(forward_batch, model, X)  # looked up now: wrappers and patches apply
+            if pending is not None:
+                yield pending.result()
+            pending = running
+        if pending is not None:
+            yield pending.result()
+
+
 def bce_loss(p, y):
     """Elementwise binary cross-entropy, probabilities clamped to [1e-7, 1 - 1e-7]."""
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -300,15 +323,28 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr=1e-3):
-    """One Adam update with bias correction; mutates params and state."""
+    """One Adam update with bias correction; mutates params and state.
+
+    params -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
+    and v_hat = v / (1 - beta2^t), computed in place in two work vectors: each
+    operation takes the same operands in the same order as that formula.
+    """
     state.t += 1
+    a, b = np.empty_like(params), np.empty_like(params)
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += a
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    a *= grads
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.v += a
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=a)  # v_hat
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=b)  # m_hat
+    b *= lr
+    b /= a
+    params -= b
     return params, state
 
 

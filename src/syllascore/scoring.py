@@ -114,24 +114,33 @@ def score_session(scores_by_syllable, patient_id, session_index, fragment_mean=F
 def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=False):
     """Score (patient_id, session_index) pairs of a manifest into one grid.
 
-    Each session runs through the network once. Sessions that gate away are
-    listed as skipped. expert_marks=True adds the correlation of syllable
-    scores with the manifest's expert marks, left None (with a warning)
-    under 3 marked syllables or for a constant side.
+    Each session runs through the network once, on nn.forward_stream's worker
+    while the next session is read. Sessions that gate away are listed as
+    skipped. expert_marks=True adds the correlation of syllable scores with
+    the manifest's expert marks, left None (with a warning) under 3 marked
+    syllables or for a constant side.
     """
-    reports = []
     skipped = []
+    sessions = []  # (patient_id, session_index, records, counts) of each session sent to the network
+
+    def batches():
+        for patient_id, session_index in pairs:
+            try:
+                X, records, counts = corpus.collect_session_fragments(manifest, patient_id, session_index,
+                                                                      model.dsp_config)
+            except EmptySession:
+                logger.warning("session %s of patient %s has no fragments; skipped",
+                               session_index, patient_id)
+                skipped.append((patient_id, session_index))
+                continue
+            sessions.append((patient_id, session_index, records, counts))
+            yield model.standardize(X)
+
+    probabilities = list(nn.forward_stream(model, batches()))
+    reports = []
     marked = []  # (syllable score, expert mark)
-    for patient_id, session_index in pairs:
-        try:
-            X, records, counts = corpus.collect_session_fragments(manifest, patient_id, session_index,
-                                                                  model.dsp_config)
-        except EmptySession:
-            logger.warning("session %s of patient %s has no fragments; skipped",
-                           session_index, patient_id)
-            skipped.append((patient_id, session_index))
-            continue
-        p = np.split(nn.forward_batch(model, model.standardize(X)), np.cumsum(counts)[:-1])
+    for (patient_id, session_index, records, counts), p in zip(sessions, probabilities, strict=True):
+        p = np.split(p, np.cumsum(counts)[:-1])
         report = score_session({rec.syllable_id: s for rec, s in zip(records, p)}, patient_id, session_index,
                                fragment_mean=fragment_mean)
         reports.append(report)

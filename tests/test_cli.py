@@ -2,6 +2,8 @@ import copy
 import csv
 import dataclasses
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +424,55 @@ class TestScoreSessions:
         assert [r.n_syllables for r in grid.reports] == [4, 5]
         pairs = [(r.syllable_scores[s], marks[s]) for r in grid.reports for s in sorted(r.syllable_scores)]
         assert grid.expert_correlation == pytest.approx(scoring.pearson(*zip(*pairs)), rel=1e-12)
+
+    def test_fragment_scores_are_each_sessions_forward(self, tmp_path, caplog):
+        """Through the overlapped forwards, every fragment score is the forward of its own session's
+        stack, bit for bit, with a silent middle session listed as skipped between the others."""
+        corpus_dir = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus_dir), "--patients", "1", "--syllables", "3",
+                     "--duration", "0.5", "--seed", "4", "--severities", "0.9,0.5,0.1"]) == 0
+        _silence_files(corpus_dir, 4)
+        arch = nn.Architecture(lstm1_units=3, lstm2_units=2, dense1_units=2, dense2_units=2)
+        rng = np.random.default_rng(8)
+        model = nn.Model(arch, nn.init_params(arch, rng) + rng.normal(0.0, 0.3, arch.param_count),
+                         input_mean=rng.normal(-5.0, 1.0, 513), input_std=rng.uniform(0.5, 3.0, 513))
+        nn.save_model(model, tmp_path / "model.json")
+        model = nn.load_model(tmp_path / "model.json")
+        before = threading.active_count()
+        out = tmp_path / "scores.json"
+        assert main(["score", "--model", str(tmp_path / "model.json"),
+                     "--manifest", str(corpus_dir / "manifest.txt"), "--format", "json", "--out", str(out)]) == 0
+        assert threading.active_count() == before
+        skips = [(r.getMessage(), r.threadName) for r in caplog.records if "skipped" in r.getMessage()]
+        assert skips == [("session 4 of patient P001 has no fragments; skipped", "MainThread")]
+        grid = scoring.from_json(out.read_text())
+        assert grid.skipped_sessions == [("P001", 4)]
+        assert [r.session_index for r in grid.reports] == [3, 5]
+        manifest = load_manifest(corpus_dir / "manifest.txt")
+        for report in grid.reports:
+            X, records, counts = corpus.collect_session_fragments(manifest, "P001", report.session_index,
+                                                                  model.dsp_config)
+            p = np.split(nn.forward_batch(model, model.standardize(X)), np.cumsum(counts)[:-1])
+            assert report.fragment_scores == {rec.syllable_id: list(s) for rec, s in zip(records, p)}
+
+    def test_corrupt_recording_in_a_later_session_exits_four(self, cli_run, tmp_path, monkeypatch, capsys):
+        corpus_dir, model_path, _ = cli_run
+        copied = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copied)
+        bad = copied / "audio" / "P001_4_s03.wav"
+        bad.write_bytes(b"not a wav file")
+        forward, calls = nn.forward_batch, []
+        monkeypatch.setattr(scoring.nn, "forward_batch",
+                            lambda model, X: calls.append(len(X)) or forward(model, X))
+        before = threading.active_count()
+        out = tmp_path / "scores.json"
+        assert main(["score", "--model", str(model_path), "--manifest", str(copied / "manifest.txt"),
+                     "--format", "json", "--out", str(out)]) == 4
+        assert threading.active_count() == before
+        assert len(calls) == 1 and not out.exists()  # session 3 went through the network first
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {bad}: not a readable PCM WAV file (file does not start with RIFF id)"
+        assert "Traceback" not in err
 
     def test_fewer_than_three_marks_give_no_correlation(self, cli_run):
         corpus_dir, model_path, _ = cli_run

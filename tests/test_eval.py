@@ -6,6 +6,8 @@ order of the manifest does not matter, and memory does not grow with the
 number of recordings.
 """
 
+import shutil
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -94,8 +96,32 @@ def test_chunk_size_does_not_show(eval_corpus, monkeypatch, caplog, which, chunk
         assert _eval(models[which], manifest_path, COHORTS[:3], fmt, root / f"after.{fmt}") == (0, before[fmt])
         assert sorted(reads.values()) == [1] * 18  # 3 patients x 3 syllables x 2 sessions, each read once
     assert len(seen) == 9 and all(np.array_equal(p, expected) for p in seen[::3])  # "all" sees every row
-    gated = [r.getMessage() for r in caplog.records if "produced no fragments" in r.getMessage()]
-    assert gated == ["recording ('P002', 1, 's02') produced no fragments (gated or too short)"] * 3
+    gated = [(r.getMessage(), r.threadName) for r in caplog.records if "produced no fragments" in r.getMessage()]
+    assert gated == [("recording ('P002', 1, 's02') produced no fragments (gated or too short)", "MainThread")] * 3
+
+
+def test_corrupt_recording_after_the_first_chunk_exits_four(eval_corpus, tmp_path, monkeypatch, capsys):
+    """The read error surfaces as it did before the forwards overlapped the reads: exit 4,
+    one error line, no traceback, no output, and no thread left behind."""
+    _, manifest_path, models = eval_corpus
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(manifest_path.parent, corpus_dir)
+    bad = corpus_dir / "audio" / "P003_2_s03.wav"  # the last recording in canonical order
+    bad.write_bytes(b"not a wav file")
+    monkeypatch.setattr(nn, "FORWARD_CHUNK", 3)
+    forward, calls = nn.forward_batch, []
+    monkeypatch.setattr(nn, "forward_batch", lambda model, X: calls.append(len(X)) or forward(model, X))
+    before = threading.active_count()
+    code, _ = _eval(models["plain"], corpus_dir / "manifest.txt", ["all"], "json", tmp_path / "e.json")
+    assert code == 4 and threading.active_count() == before
+    assert len(calls) > 1 and not (tmp_path / "e.json").exists()  # several chunks ran before the bad read
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {bad}: not a readable PCM WAV file (file does not start with RIFF id)"
+    assert "Traceback" not in err
+
+    calls.clear()
+    assert _eval(models["plain"], manifest_path, ["all"], "json", tmp_path / "e.json")[0] == 0
+    assert threading.active_count() == before and calls
 
 
 def test_union_that_gates_away_exits_five(eval_corpus, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -189,6 +190,85 @@ class TestAdam:
         for _ in range(5):
             nn.adam_step(params, np.array([g]), state)
         assert params[0] == pytest.approx(theta, abs=1e-12)
+
+
+    def test_in_place_step_is_the_formula_bit_for_bit(self):
+        def formula(params, grads, state, lr):
+            state.t += 1
+            state.m *= nn.ADAM_BETA1
+            state.m += (1.0 - nn.ADAM_BETA1) * grads
+            state.v *= nn.ADAM_BETA2
+            state.v += (1.0 - nn.ADAM_BETA2) * grads * grads
+            m_hat = state.m / (1.0 - nn.ADAM_BETA1**state.t)
+            v_hat = state.v / (1.0 - nn.ADAM_BETA2**state.t)
+            params -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+
+        rng = np.random.default_rng(21)
+        n = 10_000
+        params = rng.normal(0.0, 0.1, n)
+        expected = params.copy()
+        state, expected_state = (nn.AdamState(np.zeros(n), np.zeros(n)) for _ in range(2))
+        for _ in range(50):
+            grads = rng.normal(0.0, 1.0, n) * rng.uniform(1e-4, 1.0)
+            grads *= min(1.0, nn.TrainConfig.clip_norm / np.linalg.norm(grads))  # as train clips them
+            kept = grads.copy()
+            formula(expected, grads, expected_state, 1e-3)
+            nn.adam_step(params, grads, state, lr=1e-3)
+            assert np.array_equal(grads, kept)
+        assert state.t == expected_state.t == 50
+        for actual, wanted in ((params, expected), (state.m, expected_state.m), (state.v, expected_state.v)):
+            assert np.array_equal(actual, wanted)
+
+
+class TestForwardStream:
+    def test_same_results_in_order_through_the_module_global(self, monkeypatch):
+        model = _random_model(TINY, 3, jitter=0.3)
+        rng = np.random.default_rng(4)
+        batches = [rng.normal(0.0, 1.0, (k, 4, 2)) for k in (5, 1, 7, 3)]
+        forward, calls = nn.forward_batch, []
+        monkeypatch.setattr(nn, "forward_batch", lambda m, X: calls.append(len(X)) or forward(m, X))
+        before = threading.active_count()
+        results = list(nn.forward_stream(model, iter(batches)))
+        assert threading.active_count() == before
+        assert calls == [5, 1, 7, 3]
+        assert all(np.array_equal(p, forward(model, X)) for p, X in zip(results, batches, strict=True))
+        assert list(nn.forward_stream(model, iter([]))) == []
+
+    def test_producer_exception_wins_over_the_forward_in_flight(self):
+        model = _random_model(TINY, 3)
+        good = np.zeros((2, 4, 2))
+
+        def batches():
+            yield good
+            yield np.zeros((2, 4, 3))  # its forward raises ShapeMismatch while the third item is drawn
+            raise ValueError("third item")
+
+        seen = []
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="third item"):
+            for p in nn.forward_stream(model, batches()):
+                seen.append(p)
+        assert threading.active_count() == before
+        assert len(seen) == 1 and np.array_equal(seen[0], nn.forward_batch(model, good))
+
+    def test_forward_exception_comes_out_at_its_result(self):
+        model = _random_model(TINY, 3)
+        good, bad = np.zeros((2, 4, 2)), np.zeros((2, 4, 3))
+        seen = []
+        before = threading.active_count()
+        with pytest.raises(ShapeMismatch):
+            for p in nn.forward_stream(model, iter([good, bad, good])):
+                seen.append(p)
+        assert threading.active_count() == before
+        assert len(seen) == 1
+
+    def test_abandoned_stream_leaves_no_thread(self):
+        model = _random_model(TINY, 3)
+        before = threading.active_count()
+        stream = nn.forward_stream(model, (np.zeros((1, 4, 2)) for _ in range(5)))
+        next(stream)
+        stream.close()
+        assert threading.active_count() == before
 
 
 class TestBackward:
