@@ -46,3 +46,4 @@ p_stored = nn.forward_batch(reloaded, X[:1])[0]
 nn.save_model(reloaded, work / "model_again.json")
 p_again = nn.forward_batch(nn.load_model(work / "model_again.json"), X[:1])[0]
 print("  round trip at stored precision is exact:", p_stored == p_again)
+print("  the trained model scores as its file does:", nn.forward_batch(model, X[:1])[0] == p_stored)

@@ -1,10 +1,15 @@
 """The classifier: two stacked LSTM layers feeding three dense layers.
 
-Everything is implemented directly on numpy arrays in double precision:
-forward pass, backpropagation through time, binary cross-entropy, and Adam.
-No ML runtime is involved, which keeps training bit-deterministic for a
-fixed seed and makes the analytic gradients checkable against finite
-differences.
+Everything is implemented directly on numpy arrays: forward pass,
+backpropagation through time, binary cross-entropy, and Adam. No ML runtime
+is involved, which keeps training bit-deterministic for a fixed seed and
+makes the analytic gradients checkable against finite differences.
+
+Training (gradients and Adam) runs in double precision. Every forward that
+reports probabilities (forward_batch: training metrics, eval, score) runs in
+single precision over the float32 rounding of the parameters, which is
+exactly what a model file stores, so a trained model and its reloaded file
+give the same probabilities bit for bit.
 
 All trainable parameters live in one flat float64 vector. Layout, in order:
 
@@ -130,8 +135,8 @@ def _lstm_forward(x_seq, W, U, b):
     B, T, D = x_seq.shape
     H = U.shape[0]
     gates = (x_seq.reshape(B * T, D) @ W).reshape(B, T, 4 * H)  # every step's input projection
-    states, cells = np.empty((B, T, H)), np.empty((B, T, H))
-    h = c = np.zeros((B, H))
+    states, cells = np.empty((B, T, H), x_seq.dtype), np.empty((B, T, H), x_seq.dtype)
+    h = c = np.zeros((B, H), x_seq.dtype)
     for t in range(T):
         z = gates[:, t]
         z += h @ U
@@ -227,13 +232,24 @@ class Model:
         return (X - self.input_mean) / self.input_std
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught by the explicit check below
 def forward_batch(model, X):
-    """Vector of probabilities for a (N, steps, input_dim) fragment stack."""
+    """Vector of probabilities for a (N, steps, input_dim) fragment stack.
+
+    The network runs in float32 over the float32 rounding of the parameters,
+    the values a model file stores; the probabilities come back as float64.
+    Raises DegenerateInput if any probability is not finite.
+    """
     X = _check_batch(model.arch, X)
-    views = _views(model.arch, model.params)
+    views = _views(model.arch, model.params.astype(np.float32))
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], FORWARD_CHUNK):
-        out[start : start + FORWARD_CHUNK], _ = _forward_full(views, X[start : start + FORWARD_CHUNK])
+        chunk = X[start : start + FORWARD_CHUNK].astype(np.float32)
+        out[start : start + FORWARD_CHUNK], _ = _forward_full(views, chunk)
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise DegenerateInput(f"{bad} of {out.size} probabilities are not finite: "
+                              "the forward overflowed single precision (float32)")
     return out
 
 
@@ -392,8 +408,9 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     X is the raw fragment stack (N, steps, input_dim); y the binary labels.
     With standardize=True, per-bin mean/std are computed over the training
     fragments, applied everywhere, and frozen into the returned model.
-    A non-finite batch loss, gradient norm or epoch loss, or a parameter
-    beyond float32 range, raises DegenerateInput naming the epoch (and step).
+    A non-finite batch loss or gradient norm, a parameter beyond float32
+    range, or an epoch's metrics forward that overflows float32 raises
+    DegenerateInput naming the epoch (and step).
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X)
@@ -439,17 +456,19 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
             if config.clip_norm is not None and norm > config.clip_norm:
                 grad *= config.clip_norm / norm
             adam_step(params, grad, state, lr=config.learning_rate)
-        loss, acc = _metrics(current, X_train, y_train)
-        trace.train_loss.append(loss)
-        trace.train_accuracy.append(acc)
-        loss, acc = _metrics(current, X_test, y_test)
-        trace.test_loss.append(loss)
-        trace.test_accuracy.append(acc)
         largest = float(max(params.max(), -params.min()))  # nan if any parameter is
-        if not (np.isfinite(trace.train_loss[-1]) and np.isfinite(loss) and largest <= F32_MAX):
-            raise DegenerateInput(f"training diverged in epoch {epoch}: train loss {trace.train_loss[-1]}, "
-                                  f"test loss {loss}, largest parameter {largest:.3g} "
+        if not largest <= F32_MAX:
+            raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter {largest:.3g} "
                                   f"(a model file holds at most {F32_MAX:.3g})")
+        try:  # forward_batch refuses non-finite probabilities, so the losses are finite
+            train_loss, train_acc = _metrics(current, X_train, y_train)
+            test_loss, test_acc = _metrics(current, X_test, y_test)
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"training diverged in epoch {epoch}: {exc}") from None
+        trace.train_loss.append(train_loss)
+        trace.train_accuracy.append(train_acc)
+        trace.test_loss.append(test_loss)
+        trace.test_accuracy.append(test_acc)
 
     meta = {
         "seed": config.seed,

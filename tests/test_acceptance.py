@@ -16,7 +16,7 @@ from syllascore.cli import main as cli_main
 from syllascore.dataset import load_manifest, save_manifest, split_fragments
 from syllascore.dsp import DspConfig, slice_fragments, stft_magnitude, Spectrogram
 
-from test_nn import fd_gradient, max_rel_error
+from test_nn import F32_AGREEMENT, fd_gradient, max_rel_error
 
 
 def _verdict(num, name, ok, detail=""):
@@ -263,3 +263,19 @@ def test_criterion_8_round_trips(accept_run, tmp_path):
 
     _verdict(8, "round trips", model_ok and manifest_ok and report_ok,
              f"(model {model_ok}, manifest {manifest_ok}, reports {report_ok})")
+
+
+def test_single_precision_scores_agree_with_double_precision(accept_run):
+    """The float32 forward that eval and score run against the float64 forward
+    over the same stored parameters, on every fragment of the corpus."""
+    model = nn.load_model(accept_run["model"])
+    views = nn._views(model.arch, model.params)
+    manifest = load_manifest(accept_run["corpus"] / "manifest.txt")
+    stacks = [corpus.collect_training_fragments(manifest, model.dsp_config)[0]]
+    stacks += [corpus.collect_session_fragments(manifest, patient, session, model.dsp_config)[0]
+               for patient, session in corpus.scoreable_sessions(manifest)]
+    worst = 0.0
+    for X in map(model.standardize, stacks):
+        exact, _ = nn._forward_full(views, X)
+        worst = max(worst, float(np.max(np.abs(nn.forward_batch(model, X) - exact))))
+    assert worst <= F32_AGREEMENT, f"max |float32 - float64| {worst:.2e}"

@@ -178,6 +178,21 @@ class TestTrainCommand:
         assert err.startswith(f"error: training diverged {where}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_precision_overflow_stops_training(self, tmp_path, capsys):
+        # one step of 1e37 leaves every parameter inside float32's range, but
+        # the epoch's float32 metrics forward overflows
+        corpus_dir = tmp_path / "c"
+        main(["synth", "--out", str(corpus_dir), "--syllables", "3",
+              "--duration", "0.5", "--seed", "4"])
+        capsys.readouterr()
+        code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--model-out", str(tmp_path / "m.json"), "--epochs", "2", "--learning-rate", "1e37"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in epoch 1:") and "single precision" in err
+        assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
+
     def test_missing_audio_exits_four(self, tmp_path):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "2",
@@ -383,6 +398,20 @@ class TestModelFile:
         assert main([command, "--model", str(path),
                      "--manifest", str(corpus_dir / "manifest.txt")]) == 3
         assert "8x513" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "score"])  # score's forward runs on its worker thread
+    def test_single_precision_overflow_exits_five(self, cli_run, tmp_path, capsys, command):
+        corpus_dir, model_path, _ = cli_run
+        model = nn.load_model(model_path)
+        rng = np.random.default_rng(0)
+        path = tmp_path / "huge.json"  # loadable, but its float32 forward overflows
+        nn.save_model(dataclasses.replace(model, params=rng.uniform(-1.0, 1.0, model.params.size) * 1e38), path)
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(path), "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--format", "json", "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "single precision" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestScoreSessions:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllascore import dsp, nn
+from syllascore import corpus, dsp, nn, synth
 from syllascore.audio import SampleBuffer
 from syllascore.dataset import SplitAssignment, split_fragments
 from syllascore.errors import (CorruptFile, DegenerateInput, ShapeMismatch,
@@ -26,9 +26,15 @@ def _random_model(arch, seed, jitter=0.0):
     return nn.Model(arch, params)
 
 
+# |forward_batch - float64 forward| over the same parameters, the bench's
+# reference tolerance. Measured: 5.7e-8 on random inputs; on the acceptance
+# corpus 1.4e-6 for its model and 1.1e-7 for a --standardize one.
+F32_AGREEMENT = 1e-5
+
+
 def _loss_of(arch, params, X, y):
-    model = nn.Model(arch, params)
-    p = nn.forward_batch(model, X)
+    """The float64 loss that _grad differentiates (forward_batch runs in float32)."""
+    p, _ = nn._forward_full(nn._views(arch, params), X)
     return float(np.mean([nn.bce_loss(pi, yi) for pi, yi in zip(p, y)]))
 
 
@@ -97,8 +103,8 @@ class TestForward:
     def test_scalar_chain_hand_computed(self):
         arch = nn.Architecture(input_steps=1, input_dim=1, lstm1_units=1,
                                lstm2_units=1, dense1_units=1, dense2_units=1)
-        model = nn.Model(arch, np.ones(arch.param_count))
-        got = nn.forward_batch(model, np.array([[[1.0]]]))[0]
+        params, X = np.ones(arch.param_count), np.array([[[1.0]]])
+        got = nn._forward_full(nn._views(arch, params), X)[0][0]
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -115,6 +121,7 @@ class TestForward:
         d2 = sig(d1 + 1.0)
         expected = min(1.0, max(0.0, 0.2 * (d2 + 1.0) + 0.5))
         assert got == pytest.approx(expected, rel=1e-12)
+        assert nn.forward_batch(nn.Model(arch, params), X)[0] == pytest.approx(expected, abs=F32_AGREEMENT)
 
     def test_scalar_chain_zero_bias(self):
         arch = nn.Architecture(input_steps=1, input_dim=1, lstm1_units=1,
@@ -123,8 +130,8 @@ class TestForward:
         views = nn._views(arch, params)
         for name in ("lstm1.b", "lstm2.b", "dense1.b", "dense2.b", "dense3.b"):
             views[name][...] = 0.0
-        model = nn.Model(arch, params)
-        got = nn.forward_batch(model, np.array([[[1.0]]]))[0]
+        X = np.array([[[1.0]]])
+        got = nn._forward_full(views, X)[0][0]
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -133,6 +140,7 @@ class TestForward:
         h2 = sig(h1) * math.tanh(sig(h1) * math.tanh(h1))
         expected = 0.2 * sig(math.tanh(h2)) + 0.5
         assert got == pytest.approx(expected, rel=1e-12)
+        assert nn.forward_batch(nn.Model(arch, params), X)[0] == pytest.approx(expected, abs=F32_AGREEMENT)
 
     def test_output_range_fuzz(self):
         rng = np.random.default_rng(1)
@@ -149,6 +157,80 @@ class TestForward:
             nn.forward_batch(model, np.zeros((5, 2))[None])
         with pytest.raises(ShapeMismatch):
             nn.forward_batch(model, np.zeros((3, 4, 3)))
+
+
+class TestSinglePrecisionForward:
+    def test_agrees_with_the_float64_forward_on_random_inputs(self):
+        arch = nn.Architecture()
+        rng = np.random.default_rng(15)
+        params = nn.init_params(arch, rng) + rng.normal(0.0, 0.05, arch.param_count)
+        X = rng.normal(0.0, 1.0, (64, arch.input_steps, arch.input_dim))
+        exact, _ = nn._forward_full(nn._views(arch, params), X)
+        assert np.max(np.abs(nn.forward_batch(nn.Model(arch, params), X) - exact)) <= F32_AGREEMENT
+
+    def test_lstm_layer_keeps_float32(self):
+        # a default-dtype allocation would promote the whole recurrence to float64
+        rng = np.random.default_rng(16)
+        H, D = 3, 2
+        X, W, U, b = (rng.normal(0.0, 0.5, shape).astype(np.float32)
+                      for shape in ((2, 4, D), (D, 4 * H), (H, 4 * H), (4 * H,)))
+        states, (gates, cells) = nn._lstm_forward(X, W, U, b)
+        assert states.dtype == gates.dtype == cells.dtype == np.float32
+
+    def test_forward_batch_hands_the_network_float32(self, monkeypatch):
+        forward, seen = nn._forward_full, []
+
+        def recorded(views, X):
+            seen.append((X.dtype, {v.dtype for v in views.values()}))
+            return forward(views, X)
+
+        monkeypatch.setattr(nn, "_forward_full", recorded)
+        model = _random_model(TINY, 17, jitter=0.3)
+        p = nn.forward_batch(model, np.zeros((nn.FORWARD_CHUNK + 3, 4, 2)))
+        assert seen == [(np.dtype(np.float32), {np.dtype(np.float32)})] * 2  # a full chunk, then the tail
+        assert p.dtype == np.float64
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_precision_overflow_raises_degenerate_input(self):
+        # parameters this large are storable, but the float32 forward overflows
+        arch = nn.Architecture()  # sums over 513 inputs: TINY's two never overflow
+        rng = np.random.default_rng(18)
+        model = nn.Model(arch, rng.uniform(-1.0, 1.0, arch.param_count) * 1e37)
+        X = rng.normal(0.0, 1.0, (5, arch.input_steps, arch.input_dim)) * 3
+        exact, _ = nn._forward_full(nn._views(arch, model.params), X)
+        assert np.all(np.isfinite(exact))
+        with pytest.raises(DegenerateInput, match="single precision"):
+            nn.forward_batch(model, X)
+
+
+@pytest.fixture(scope="module")
+def hard_training(tmp_path_factory):
+    """A trained model and its reloaded file, on a small cut of the hard corpus
+    (formants 20 Hz apart, 0.5 dB/octave tilt, SNR 12-15 dB), standardized."""
+    root = tmp_path_factory.mktemp("hard")
+    spec = synth.SynthSpec(n_patients=1, syllables_per_set=6, duration_s=0.5, formant_shift_hz=20.0,
+                           tilt_db_per_octave=0.5, snr_clean_db=15.0, snr_worst_db=12.0,
+                           articulation_spread=0.4, seed=3)
+    X, y, _ = corpus.collect_training_fragments(synth.generate_corpus(spec, root), dsp.DspConfig())
+    split = split_fragments(len(y), y, ratio=0.8, seed=1)
+    trained, _ = nn.train(X, y, split, nn.TrainConfig(epochs=3, seed=1), standardize=True)
+    nn.save_model(trained, root / "model.json")
+    return X, y, split, trained, nn.load_model(root / "model.json")
+
+
+class TestTrainedModelIsItsFile:
+    def test_same_probabilities_bit_for_bit(self, hard_training):
+        X, _, _, trained, loaded = hard_training
+        assert np.array_equal(nn.forward_batch(trained, trained.standardize(X)),
+                              nn.forward_batch(loaded, loaded.standardize(X)))
+
+    def test_train_meta_holds_the_saved_models_metrics(self, hard_training):
+        X, y, split, _, loaded = hard_training
+        for side, indices in (("train", split.train_indices), ("test", split.test_indices)):
+            p = nn.forward_batch(loaded, loaded.standardize(X[indices]))
+            assert loaded.train_meta[f"final_{side}_loss"] == float(nn.bce_loss(p, y[indices]).mean())
+            correct = (p >= nn.PREDICT_THRESHOLD) == (y[indices] == 1.0)
+            assert loaded.train_meta[f"final_{side}_accuracy"] == float(correct.mean())
 
 
 class TestBceLoss:
