@@ -16,7 +16,8 @@ from .nn import (AdamState, Architecture, Model, TrainConfig, TrainTrace,
                  adam_step, backward, bce_loss, forward_batch, forward_stream,
                  hard_sigmoid, init_params, load_model, save_model, train)
 from .scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
-                      pearson, render, score_session, score_sessions)
+                      pearson, render, score_session, score_sessions,
+                      session_probabilities)
 from .synth import SynthSpec, generate_corpus, generate_trajectory, synth_syllable
 
 __version__ = "0.1.0"

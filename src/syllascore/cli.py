@@ -162,35 +162,6 @@ def _load_model(path):
     return model
 
 
-def _probabilities(model, manifest):
-    """(p, y, groups) over the labeled recordings, as collect_training_fragments
-    would stack them, without stacking them: fragments stream into chunks of
-    nn.FORWARD_CHUNK rows, and each full chunk, then the tail, goes through
-    the network on nn.forward_stream's worker while the next chunk is read.
-    A chunk holds the same rows as the stack's slice of that chunk, so p is
-    bit for bit what one forward_batch over the stack gives."""
-    labels, groups = [], []
-
-    def chunks():
-        chunk, filled = np.empty((nn.FORWARD_CHUNK, FRAGMENT_FRAMES, N_BINS)), 0
-        for rec, frags in corpus.labeled_fragments(manifest, model.dsp_config):
-            for frag in frags:
-                chunk[filled] = frag.values
-                filled += 1
-                if filled == len(chunk):
-                    yield model.standardize(chunk)
-                    chunk, filled = np.empty_like(chunk), 0  # the full one may still be in the network
-            labels.extend([rec.class_label] * len(frags))
-            groups.extend([rec.key()] * len(frags))
-        if filled:
-            yield model.standardize(chunk[:filled])
-
-    p = list(nn.forward_stream(model, chunks()))
-    if not groups:
-        raise DegenerateInput("no fragments survived preprocessing")
-    return np.concatenate(p), np.asarray(labels, dtype=np.float64), groups
-
-
 def cmd_eval(args):
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
@@ -205,7 +176,14 @@ def cmd_eval(args):
     split_by = meta.get("split_by", "fragment")
     members = [{r.key() for r in filter_cohort(manifest, c).records} for c in cohorts]  # all before any read
     union = replace(manifest, records=tuple(r for r in manifest.records if any(r.key() in m for m in members)))
-    p, y, groups = _probabilities(model, union)
+    pairs = sorted({(r.patient_id, r.session_index) for r in union.records if r.session_index in (1, 2)})
+    sessions, _ = scoring.session_probabilities(model, union, pairs)  # canonical order, one forward each
+    if not sessions:
+        raise DegenerateInput("no fragments survived preprocessing")
+    owners = [rec for _, _, records, counts, _ in sessions for rec, n in zip(records, counts) for _ in range(n)]
+    p = np.concatenate([session[-1] for session in sessions])
+    y = np.asarray([rec.class_label for rec in owners], dtype=np.float64)
+    groups = [rec.key() for rec in owners]
     reports = []
     for cohort, keys in zip(cohorts, members):
         rows = [i for i, key in enumerate(groups) if key in keys]  # in canonical order, as if read alone

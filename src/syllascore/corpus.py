@@ -3,9 +3,10 @@
 Records are processed in canonical (patient, session, syllable) order, so
 the fragment arrays, and everything trained from them, do not depend on the
 line order of the manifest file. Each recording is read and cut only when
-its turn comes: a caller that consumes the fragments of
-`labeled_fragments` as they arrive (eval) holds one recording's at a time,
-while the collect_* functions stack a whole set.
+its turn comes, and one that gates away entirely is logged as it is read.
+collect_training_fragments stacks both labeled sessions for train;
+collect_session_fragments stacks one session, the unit that eval and score
+send through the network.
 """
 
 import logging
@@ -25,22 +26,13 @@ def _sorted_records(manifest, sessions):
 
 
 def _read_fragments(manifest, records, cfg):
-    """Yield each record's fragment list, in record order; the list is empty
-    for a recording that gated away."""
+    """Yield each record's fragment list, in record order; the list is empty,
+    and logged, for a recording that gated away."""
     for rec in records:
-        yield pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
-
-
-def labeled_fragments(manifest, cfg):
-    """Yield (record, fragments) for the two labeled sessions, canonical order.
-
-    A recording that gates away entirely yields an empty list and is logged.
-    """
-    records = _sorted_records(manifest, sessions=(1, 2))
-    for rec, frags in zip(records, _read_fragments(manifest, records, cfg)):
+        frags = pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
         if not frags:
             logger.warning("recording %s produced no fragments (gated or too short)", rec.key())
-        yield rec, frags
+        yield frags
 
 
 def collect_training_fragments(manifest, cfg):
@@ -49,10 +41,11 @@ def collect_training_fragments(manifest, cfg):
     Returns (X, y, groups): X is (N, 8, 513) float64, y the per-fragment
     binary labels, and groups the per-fragment recording key (used for
     leakage-free splitting at recording granularity). Recordings that gate
-    away entirely contribute nothing and are logged.
+    away entirely contribute nothing.
     """
+    records = _sorted_records(manifest, sessions=(1, 2))
     rows, labels, groups = [], [], []
-    for rec, frags in labeled_fragments(manifest, cfg):
+    for rec, frags in zip(records, _read_fragments(manifest, records, cfg)):
         rows += [frag.values for frag in frags]
         labels += [rec.class_label] * len(frags)
         groups += [rec.key()] * len(frags)

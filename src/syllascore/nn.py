@@ -44,7 +44,8 @@ BCE_EPS = 1e-7
 PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
-FORWARD_CHUNK = 512  # fragments per forward call; bounds the LSTM state arrays
+FORWARD_CHUNK = 512  # fragments per _forward_full call inside forward_batch; bounds the LSTM state
+# arrays of train's metrics and of an eval or score session over 512 fragments
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
 

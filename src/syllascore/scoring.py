@@ -111,17 +111,19 @@ def score_session(scores_by_syllable, patient_id, session_index, fragment_mean=F
     )
 
 
-def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=False):
-    """Score (patient_id, session_index) pairs of a manifest into one grid.
+def session_probabilities(model, manifest, pairs):
+    """Run each (patient_id, session_index) session of pairs through the network.
 
-    Each session runs through the network once, on nn.forward_stream's worker
-    while the next session is read. Sessions that gate away are listed as
-    skipped. expert_marks=True adds the correlation of syllable scores with
-    the manifest's expert marks, left None (with a warning) under 3 marked
-    syllables or for a constant side.
+    Each session's fragments are stacked (corpus.collect_session_fragments),
+    standardized and sent through the network once, on nn.forward_stream's
+    worker while the next session is read. Returns (sessions, skipped):
+    sessions holds (patient_id, session_index, records, counts, p) for each
+    session with fragments, in pairs order, where p holds the probabilities
+    of its stack and counts[i] how many of them records[i] gave; skipped
+    lists, and logs, the pairs whose session gated away entirely.
     """
     skipped = []
-    sessions = []  # (patient_id, session_index, records, counts) of each session sent to the network
+    sessions = []
 
     def batches():
         for patient_id, session_index in pairs:
@@ -137,9 +139,21 @@ def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=Fal
             yield model.standardize(X)
 
     probabilities = list(nn.forward_stream(model, batches()))
+    return [(*session, p) for session, p in zip(sessions, probabilities, strict=True)], skipped
+
+
+def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=False):
+    """Score (patient_id, session_index) pairs of a manifest into one grid.
+
+    The probabilities come from session_probabilities, one forward per
+    session; sessions that gate away are listed as skipped. expert_marks=True
+    adds the correlation of syllable scores with the manifest's expert marks,
+    left None (with a warning) under 3 marked syllables or for a constant side.
+    """
+    sessions, skipped = session_probabilities(model, manifest, pairs)
     reports = []
     marked = []  # (syllable score, expert mark)
-    for (patient_id, session_index, records, counts), p in zip(sessions, probabilities, strict=True):
+    for patient_id, session_index, records, counts, p in sessions:
         p = np.split(p, np.cumsum(counts)[:-1])
         report = score_session({rec.syllable_id: s for rec, s in zip(records, p)}, patient_id, session_index,
                                fragment_mean=fragment_mean)

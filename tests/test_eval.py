@@ -1,11 +1,13 @@
-"""eval streams its fragments through the network in nn.FORWARD_CHUNK pieces.
+"""eval runs the network once per labeled session, as score does.
 
-The chunk size must not show in any output, each recording is read once,
-several cohorts at once give each cohort's one-cohort numbers, the line
-order of the manifest does not matter, and memory does not grow with the
-number of recordings.
+Each (patient, session 1|2) stack goes through one forward_batch, so
+nn.FORWARD_CHUNK must not show in any output, each recording is read once,
+several cohorts at once give each cohort's one-cohort probabilities bit for
+bit, the line order of the manifest does not matter, and memory does not
+grow with the number of recordings.
 """
 
+import contextlib
 import shutil
 import threading
 import tracemalloc
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from syllascore import corpus, nn, scoring, synth
 from syllascore.audio import SampleBuffer, read_wav, write_wav
 from syllascore.cli import main
-from syllascore.dataset import load_manifest
+from syllascore.dataset import Cohort, filter_cohort, load_manifest
+from syllascore.errors import EmptySession
 
 SMALL = nn.Architecture(lstm1_units=2, lstm2_units=2, dense1_units=2, dense2_units=2)
 COHORTS = ["all", "sex:m", "sex:f", "individual:P001", "individual:P002", "individual:P003"]
@@ -64,6 +67,35 @@ def _eval(model, manifest, cohorts, fmt, out):
     return code, out.read_bytes() if code == 0 else None
 
 
+@contextlib.contextmanager
+def _evaluated():
+    """The p of each scoring.evaluate call made inside the block, in call order."""
+    seen, evaluate = [], scoring.evaluate
+
+    def capture(p, *args, **kwargs):
+        seen.append(p)
+        return evaluate(p, *args, **kwargs)
+
+    scoring.evaluate = capture
+    try:
+        yield seen
+    finally:
+        scoring.evaluate = evaluate
+
+
+def _session_forwards(model, manifest):
+    """{(patient, session): forward_batch over that labeled session's standardized stack}, for every
+    session 1 or 2 that has fragments."""
+    out = {}
+    for pair in sorted({(r.patient_id, r.session_index) for r in manifest.records if r.session_index <= 2}):
+        try:
+            X, _, _ = corpus.collect_session_fragments(manifest, *pair, model.dsp_config)
+        except EmptySession:
+            continue
+        out[pair] = nn.forward_batch(model, model.standardize(X))
+    return out
+
+
 @pytest.mark.parametrize("chunk", ["1", "3", "7", "N-1", "N", "N+1"])
 @pytest.mark.parametrize("which", ["plain", "standardized"])
 def test_chunk_size_does_not_show(eval_corpus, monkeypatch, caplog, which, chunk):
@@ -76,25 +108,20 @@ def test_chunk_size_does_not_show(eval_corpus, monkeypatch, caplog, which, chunk
 
     size = {"N-1": n - 1, "N": n, "N+1": n + 1}.get(chunk) or int(chunk)
     monkeypatch.setattr(nn, "FORWARD_CHUNK", size)
-    expected = nn.forward_batch(model, model.standardize(X))
-    seen, reads = [], Counter()
-    evaluate = scoring.evaluate
-
-    def capture(p, *args, **kwargs):
-        seen.append(p)
-        return evaluate(p, *args, **kwargs)
+    expected = np.concatenate(list(_session_forwards(model, load_manifest(manifest_path)).values()))
+    reads = Counter()
 
     def counted_read(path, **kwargs):
         reads[path] += 1
         return read_wav(path, **kwargs)
 
-    monkeypatch.setattr(scoring, "evaluate", capture)
     monkeypatch.setattr(corpus, "read_wav", counted_read)
     caplog.clear()
-    for fmt in ("json", "csv", "text"):
-        reads.clear()
-        assert _eval(models[which], manifest_path, COHORTS[:3], fmt, root / f"after.{fmt}") == (0, before[fmt])
-        assert sorted(reads.values()) == [1] * 18  # 3 patients x 3 syllables x 2 sessions, each read once
+    with _evaluated() as seen:
+        for fmt in ("json", "csv", "text"):
+            reads.clear()
+            assert _eval(models[which], manifest_path, COHORTS[:3], fmt, root / f"after.{fmt}") == (0, before[fmt])
+            assert sorted(reads.values()) == [1] * 18  # 3 patients x 3 syllables x 2 sessions, each read once
     assert len(seen) == 9 and all(np.array_equal(p, expected) for p in seen[::3])  # "all" sees every row
     gated = [(r.getMessage(), r.threadName) for r in caplog.records if "produced no fragments" in r.getMessage()]
     assert gated == [("recording ('P002', 1, 's02') produced no fragments (gated or too short)", "MainThread")] * 3
@@ -114,7 +141,7 @@ def test_corrupt_recording_after_the_first_chunk_exits_four(eval_corpus, tmp_pat
     before = threading.active_count()
     code, _ = _eval(models["plain"], corpus_dir / "manifest.txt", ["all"], "json", tmp_path / "e.json")
     assert code == 4 and threading.active_count() == before
-    assert len(calls) > 1 and not (tmp_path / "e.json").exists()  # several chunks ran before the bad read
+    assert len(calls) > 1 and not (tmp_path / "e.json").exists()  # several sessions ran before the bad read
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"error: {bad}: not a readable PCM WAV file (file does not start with RIFF id)"
     assert "Traceback" not in err
@@ -139,7 +166,7 @@ def test_union_that_gates_away_exits_five(eval_corpus, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def one_cohort_evals():
-    """Memo of (model, cohort) -> the report of that cohort's one-cohort eval."""
+    """Memo of (model, cohort) -> (report, p) of that cohort's one-cohort eval."""
     return {}
 
 
@@ -153,20 +180,73 @@ def test_several_cohorts_and_permuted_manifest(eval_corpus, one_cohort_evals, wh
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
     permuted = root / "corpus" / "manifest_permuted.txt"
     permuted.write_text("\n".join(data.draw(st.permutations(lines))) + "\n", encoding="utf-8")
-    code, out = _eval(models[which], manifest_path, cohorts, fmt, root / "grid.out")
-    assert code == 0
+    with _evaluated() as seen:
+        code, out = _eval(models[which], manifest_path, cohorts, fmt, root / "grid.out")
+    assert code == 0 and len(seen) == len(cohorts)
     assert _eval(models[which], permuted, cohorts, fmt, root / "permuted.out") == (0, out)
     code, grid = (0, out) if fmt == "json" else _eval(models[which], manifest_path, cohorts, "json",
                                                        root / "grid.json")
     assert code == 0
     rows = scoring.from_json(grid.decode())
     rows = rows.reports if len(cohorts) > 1 else [rows]
-    for cohort, row in zip(cohorts, rows, strict=True):
+    for cohort, row, p in zip(cohorts, rows, seen, strict=True):
         if (which, cohort) not in one_cohort_evals:
-            code, one = _eval(models[which], manifest_path, [cohort], "json", root / "one.json")
+            with _evaluated() as one_p:
+                code, one = _eval(models[which], manifest_path, [cohort], "json", root / "one.json")
             assert code == 0
-            one_cohort_evals[which, cohort] = scoring.from_json(one.decode())
-        assert row == one_cohort_evals[which, cohort]
+            one_cohort_evals[which, cohort] = scoring.from_json(one.decode()), one_p[0]
+        report, one_p = one_cohort_evals[which, cohort]
+        assert row == report
+        assert p.dtype == one_p.dtype and p.tobytes() == one_p.tobytes()  # the cohort's rows, bit for bit
+
+
+def test_each_labeled_session_is_one_forward(eval_corpus, tmp_path, monkeypatch, caplog):
+    """Whatever nn.FORWARD_CHUNK is, eval runs forward_batch once per labeled session over all of its
+    fragments, each cohort's p is its sessions' forwards bit for bit, and a session that gates away
+    entirely is logged as skipped on the main thread."""
+    _, manifest_path, models = eval_corpus
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(manifest_path.parent, corpus_dir)
+    for wav in (corpus_dir / "audio").glob("P003_1_*.wav"):  # a middle session, silent throughout
+        write_wav(wav, SampleBuffer(np.zeros(8000), 16000))
+    manifest = load_manifest(corpus_dir / "manifest.txt")
+    model = nn.load_model(models["standardized"])
+    monkeypatch.setattr(nn, "FORWARD_CHUNK", 2)
+    expected = _session_forwards(model, manifest)
+    assert ("P003", 1) not in expected and len(expected) == 5
+    forward, calls = nn.forward_batch, []
+    monkeypatch.setattr(nn, "forward_batch", lambda model, X: calls.append(len(X)) or forward(model, X))
+    caplog.clear()
+    with _evaluated() as seen:
+        code, _ = _eval(models["standardized"], corpus_dir / "manifest.txt", COHORTS[:3], "json",
+                        tmp_path / "e.json")
+    assert code == 0
+    assert calls == [len(p) for p in expected.values()]
+    for cohort, p in zip(COHORTS[:3], seen, strict=True):
+        patients = {r.patient_id for r in filter_cohort(manifest, Cohort.parse(cohort)).records}
+        want = np.concatenate([q for (patient, _), q in expected.items() if patient in patients])
+        assert p.tobytes() == want.tobytes()
+    skips = [(r.getMessage(), r.threadName) for r in caplog.records if "skipped" in r.getMessage()]
+    assert skips == [("session 1 of patient P003 has no fragments; skipped", "MainThread")]
+
+
+def test_a_gated_recording_is_logged_once_by_each_command(tmp_path, caplog):
+    """train, eval and score each log a recording that gates away once, on the main thread that reads it."""
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus_dir), "--patients", "1", "--syllables", "3",
+                 "--duration", "0.5", "--seed", "4", "--severities", "0.9"]) == 0
+    for name in ("P001_1_s02.wav", "P001_3_s02.wav"):
+        write_wav(corpus_dir / "audio" / name, SampleBuffer(np.zeros(8000), 16000))
+    manifest, model = str(corpus_dir / "manifest.txt"), str(tmp_path / "model.json")
+    commands = [("train", 1, ["--model-out", model, "--epochs", "1"]),
+                ("eval", 1, ["--model", model, "--out", str(tmp_path / "eval.txt")]),
+                ("score", 3, ["--model", model, "--out", str(tmp_path / "score.txt")])]
+    for command, session, argv in commands:
+        caplog.clear()
+        assert main([command, "--manifest", manifest, *argv]) == 0
+        gated = [(r.getMessage(), r.threadName) for r in caplog.records if "no fragments (gated" in r.getMessage()]
+        assert gated == [(f"recording ('P001', {session}, 's02') produced no fragments (gated or too short)",
+                          "MainThread")], command
 
 
 def test_memory_does_not_grow_with_the_corpus(eval_corpus, tmp_path, monkeypatch):
