@@ -9,15 +9,15 @@ quality score for later rehabilitation sessions.
 from .audio import SampleBuffer, read_wav, write_wav
 from .dataset import (Cohort, Manifest, SplitAssignment, SyllableRecord,
                       filter_cohort, load_manifest, save_manifest,
-                      split_by_groups, split_fragments)
+                      split_by_groups, split_fragments, split_rows)
 from .dsp import (DspConfig, Fragment, Spectrogram, gate_silence, log_compress,
                   pipeline, slice_fragments, stft_magnitude)
 from .nn import (AdamState, Architecture, Model, TrainConfig, TrainTrace,
                  adam_step, backward, bce_loss, forward_batch, forward_stream,
                  hard_sigmoid, init_params, load_model, save_model, train)
 from .scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
-                      pearson, render, score_session, score_sessions,
-                      session_probabilities)
+                      evaluate_cohorts, pearson, render, score_session,
+                      score_sessions, session_probabilities)
 from .synth import SynthSpec, generate_corpus, generate_trajectory, synth_syllable
 
 __version__ = "0.1.0"

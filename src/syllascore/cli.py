@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 input validation
 failure, 5 degenerate data (empty cohort, one-class corpus, nothing to
-score). All randomness funnels through --seed (default 0); no command
-consults the wall clock, so identical invocations produce identical bytes.
+score). All randomness funnels through --seed (default 0) and no command
+consults the wall clock, so identical invocations at the same BLAS thread
+count produce identical bytes. A different thread count can move a trace
+value or a fragment score in its last float32 bits (see the README).
 
 A subcommand may take --config <file>: a json object whose keys are the
 subcommand's flag names without the leading dashes ({"epochs": 10,
@@ -14,14 +16,10 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, nn, scoring, synth
-from .dataset import (Cohort, filter_cohort, load_manifest, split_by_groups,
-                      split_fragments)
+from .dataset import Cohort, filter_cohort, load_manifest, split_rows
 from .dsp import FRAGMENT_FRAMES, N_BINS, DspConfig
 from .errors import (AudioFormatError, CorruptFile, DegenerateInput, EmptyCohort,
                      EmptySession, EmptySplit, ParseError, TooShort,
@@ -111,12 +109,6 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _split_for(args_split_by, groups, y, ratio, seed):
-    if args_split_by == "syllable":
-        return split_by_groups(groups, y, ratio=ratio, seed=seed)
-    return split_fragments(len(y), y, ratio=ratio, seed=seed)
-
-
 def cmd_train(args):
     if not 0.0 < args.split_ratio < 1.0:
         return _fail_usage("--split-ratio must be in (0, 1)")
@@ -134,13 +126,9 @@ def cmd_train(args):
         return _fail_usage(exc)
     manifest = filter_cohort(load_manifest(args.manifest, drop_incomplete=args.drop_incomplete), cohort)
     X, y, groups = corpus.collect_training_fragments(manifest, cfg)
-    split = _split_for(args.split_by, groups, y, args.split_ratio, args.seed)
-    model, trace = nn.train(
-        X, y, split, config,
-        dsp_config=cfg,
-        standardize=args.standardize,
-        extra_meta={"cohort": str(cohort), "split_ratio": args.split_ratio, "split_by": args.split_by},
-    )
+    settings = {"split_by": args.split_by, "split_ratio": args.split_ratio, "split_seed": args.seed}
+    model, trace = nn.train(X, y, split_rows(groups, y, settings), config, dsp_config=cfg,
+                            standardize=args.standardize, extra_meta={"cohort": str(cohort), **settings})
     nn.save_model(model, args.model_out)
     trace_out = args.trace_out or str(Path(args.model_out).with_suffix("")) + ".trace.csv"
     _emit(scoring.to_csv(trace), trace_out)
@@ -165,32 +153,11 @@ def _load_model(path):
 def cmd_eval(args):
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
-    meta = model.train_meta or {}
-    cohort_texts = args.cohort or [meta.get("cohort", "all")]
     try:
-        cohorts = [Cohort.parse(text) for text in cohort_texts]
+        cohorts = [Cohort.parse(text) for text in args.cohort or [(model.train_meta or {}).get("cohort", "all")]]
     except ValueError as exc:
         return _fail_usage(exc)
-    ratio = meta.get("split_ratio", 0.8)
-    seed = meta.get("split_seed", 0)
-    split_by = meta.get("split_by", "fragment")
-    members = [{r.key() for r in filter_cohort(manifest, c).records} for c in cohorts]  # all before any read
-    union = replace(manifest, records=tuple(r for r in manifest.records if any(r.key() in m for m in members)))
-    pairs = sorted({(r.patient_id, r.session_index) for r in union.records if r.session_index in (1, 2)})
-    sessions, _ = scoring.session_probabilities(model, union, pairs)  # canonical order, one forward each
-    if not sessions:
-        raise DegenerateInput("no fragments survived preprocessing")
-    owners = [rec for _, _, records, counts, _ in sessions for rec, n in zip(records, counts) for _ in range(n)]
-    p = np.concatenate([session[-1] for session in sessions])
-    y = np.asarray([rec.class_label for rec in owners], dtype=np.float64)
-    groups = [rec.key() for rec in owners]
-    reports = []
-    for cohort, keys in zip(cohorts, members):
-        rows = [i for i, key in enumerate(groups) if key in keys]  # in canonical order, as if read alone
-        split = _split_for(split_by, [groups[i] for i in rows], y[rows], ratio, seed)
-        reports.append(scoring.evaluate(p[rows], y[rows], split, cohort=str(cohort)))
-    report = scoring.EvalGrid(reports) if len(reports) > 1 else reports[0]
-    _emit(scoring.render(report, args.format), args.out)
+    _emit(scoring.render(scoring.evaluate_cohorts(model, manifest, cohorts), args.format), args.out)
     return EXIT_OK
 
 

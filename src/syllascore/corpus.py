@@ -4,9 +4,9 @@ Records are processed in canonical (patient, session, syllable) order, so
 the fragment arrays, and everything trained from them, do not depend on the
 line order of the manifest file. Each recording is read and cut only when
 its turn comes, and one that gates away entirely is logged as it is read.
-collect_training_fragments stacks both labeled sessions for train;
-collect_session_fragments stacks one session, the unit that eval and score
-send through the network.
+collect_training_fragments stacks both labeled sessions for train, and
+collect_session_fragments one session, the unit that eval and score send
+through the network; labeled_rows labels the rows for train and eval alike.
 """
 
 import logging
@@ -25,33 +25,37 @@ def _sorted_records(manifest, sessions):
     return sorted(recs, key=lambda r: (r.patient_id, r.session_index, r.syllable_id))
 
 
-def _read_fragments(manifest, records, cfg):
-    """Yield each record's fragment list, in record order; the list is empty,
-    and logged, for a recording that gated away."""
+def _read_stack(manifest, records, cfg):
+    """Read and cut records in order: (X, counts), where X stacks every fragment (None if there is
+    none) and counts[i] is how many records[i] gave (0, logged, for one that gated away)."""
+    rows, counts = [], []
     for rec in records:
         frags = pipeline(read_wav(manifest.resolve_audio(rec), expected_rate_hz=manifest.sample_rate_hz), cfg)
         if not frags:
             logger.warning("recording %s produced no fragments (gated or too short)", rec.key())
-        yield frags
+        rows += [frag.values for frag in frags]
+        counts.append(len(frags))
+    return (np.stack(rows) if rows else None), counts
+
+
+def labeled_rows(records, counts):
+    """Per-row (y, groups) of a stack read from labeled records: the counts[i] rows of records[i]
+    carry its class label (float64) and its key, the group a syllable split keeps on one side."""
+    owners = [rec for rec, n in zip(records, counts) for _ in range(n)]
+    return np.asarray([rec.class_label for rec in owners], dtype=np.float64), [rec.key() for rec in owners]
 
 
 def collect_training_fragments(manifest, cfg):
     """Fragments plus labels for the two labeled sessions.
 
-    Returns (X, y, groups): X is (N, 8, 513) float64, y the per-fragment
-    binary labels, and groups the per-fragment recording key (used for
-    leakage-free splitting at recording granularity). Recordings that gate
-    away entirely contribute nothing.
+    Returns (X, y, groups): X is (N, 8, 513) float64 and (y, groups) its
+    labeled_rows. Recordings that gate away entirely contribute nothing.
     """
     records = _sorted_records(manifest, sessions=(1, 2))
-    rows, labels, groups = [], [], []
-    for rec, frags in zip(records, _read_fragments(manifest, records, cfg)):
-        rows += [frag.values for frag in frags]
-        labels += [rec.class_label] * len(frags)
-        groups += [rec.key()] * len(frags)
-    if not rows:
+    X, counts = _read_stack(manifest, records, cfg)
+    if X is None:
         raise DegenerateInput("no fragments survived preprocessing")
-    return np.stack(rows), np.asarray(labels, dtype=np.float64), groups
+    return (X, *labeled_rows(records, counts))
 
 
 def collect_session_fragments(manifest, patient_id, session_index, cfg):
@@ -62,13 +66,10 @@ def collect_session_fragments(manifest, patient_id, session_index, cfg):
     recording gated away. A session with no fragments at all is EmptySession.
     """
     records = [r for r in _sorted_records(manifest, sessions=(session_index,)) if r.patient_id == patient_id]
-    rows, counts = [], []
-    for frags in _read_fragments(manifest, records, cfg):
-        rows += [frag.values for frag in frags]
-        counts.append(len(frags))
-    if not rows:
+    X, counts = _read_stack(manifest, records, cfg)
+    if X is None:
         raise EmptySession(f"session {session_index} of patient {patient_id} has no fragments")
-    return np.stack(rows), records, counts
+    return X, records, counts
 
 
 def scoreable_sessions(manifest, patient_id=None):

@@ -339,3 +339,20 @@ def split_by_groups(group_keys, labels, ratio=0.8, seed=0):
     train = np.sort(np.concatenate([members[order[g]] for g in group_split.train_indices]).astype(np.int64))
     test = np.sort(np.concatenate([members[order[g]] for g in group_split.test_indices]).astype(np.int64))
     return SplitAssignment(train, test, seed)
+
+
+# Split settings as train_meta records them, and what eval assumes for a model file
+# without them (one trained through the library): split_fragments' defaults.
+SPLIT_DEFAULTS = {"split_by": "fragment", "split_ratio": 0.8, "split_seed": 0}
+
+
+def split_rows(groups, labels, settings):
+    """The one train/test split of labeled rows: train's, and eval's rebuild of it from train_meta.
+
+    settings maps split_by ("syllable" keeps each group, one recording, on one side; "fragment" splits
+    the rows), split_ratio and split_seed; SPLIT_DEFAULTS fills any it lacks.
+    """
+    s = SPLIT_DEFAULTS | settings
+    if s["split_by"] == "syllable":
+        return split_by_groups(groups, labels, ratio=s["split_ratio"], seed=s["split_seed"])
+    return split_fragments(len(labels), labels, ratio=s["split_ratio"], seed=s["split_seed"])

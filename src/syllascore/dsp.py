@@ -74,7 +74,6 @@ class Spectrogram:
     """Time-frequency matrix, shape (T, 513). Magnitudes or log-magnitudes."""
 
     frames: np.ndarray
-    hop: int
 
     def __post_init__(self):
         if self.frames.ndim != 2 or self.frames.shape[1] != N_BINS:
@@ -115,7 +114,7 @@ def stft_magnitude(buf: SampleBuffer, cfg: DspConfig) -> Spectrogram:
         raise TooShort(f"signal of {x.size} samples is shorter than one {cfg.frame_len}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
     mags = np.abs(np.fft.rfft(frames * _window(cfg), axis=1))
-    return Spectrogram(mags, cfg.hop)
+    return Spectrogram(mags)
 
 
 def gate_silence(spec: Spectrogram, cfg: DspConfig) -> Spectrogram:
@@ -132,12 +131,12 @@ def gate_silence(spec: Spectrogram, cfg: DspConfig) -> Spectrogram:
         keep = np.zeros(spec.n_frames, dtype=bool)
     else:
         keep = energy >= cfg.gate_ratio * peak
-    return Spectrogram(spec.frames[keep], spec.hop)
+    return Spectrogram(spec.frames[keep])
 
 
 def log_compress(spec: Spectrogram, cfg: DspConfig) -> Spectrogram:
     """Map each magnitude x to log10(x + log_floor)."""
-    return Spectrogram(np.log10(spec.frames + cfg.log_floor), spec.hop)
+    return Spectrogram(np.log10(spec.frames + cfg.log_floor))
 
 
 def slice_fragments(spec: Spectrogram, cfg: DspConfig) -> list:

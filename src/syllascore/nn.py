@@ -3,7 +3,8 @@
 Everything is implemented directly on numpy arrays: forward pass,
 backpropagation through time, binary cross-entropy, and Adam. No ML runtime
 is involved, which keeps training bit-deterministic for a fixed seed and
-makes the analytic gradients checkable against finite differences.
+BLAS thread count and makes the analytic gradients checkable against finite
+differences.
 
 Training (gradients and Adam) runs in double precision. Every forward that
 reports probabilities (forward_batch: training metrics, eval, score) runs in
@@ -397,9 +398,14 @@ class TrainTrace:
         return list(zip(self.train_loss, self.train_accuracy, self.test_loss, self.test_accuracy))
 
 
+def accuracy(p, y):
+    """Share of rows whose thresholded probability (p >= 0.5 -> class 1) is the label y."""
+    return float(np.mean((p >= PREDICT_THRESHOLD) == (y == 1)))
+
+
 def _metrics(model, X, y):
     p = forward_batch(model, X)
-    return float(bce_loss(p, y).mean()), float(((p >= PREDICT_THRESHOLD) == (y == 1.0)).mean())
+    return float(bce_loss(p, y).mean()), accuracy(p, y)
 
 
 @np.errstate(all="ignore")  # divergence is caught by the explicit checks below, not by warnings
@@ -471,23 +477,9 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
         trace.test_loss.append(test_loss)
         trace.test_accuracy.append(test_acc)
 
-    meta = {
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "clip_norm": config.clip_norm,
-        "standardized": bool(standardize),
-        "split_seed": int(split.seed),
-        "n_train": int(n_train),
-        "n_test": int(X_test.shape[0]),
-        "final_train_loss": trace.train_loss[-1],
-        "final_train_accuracy": trace.train_accuracy[-1],
-        "final_test_loss": trace.test_loss[-1],
-        "final_test_accuracy": trace.test_accuracy[-1],
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
+            "n_train": int(n_train), "n_test": int(X_test.shape[0]),
+            **{f"final_{name}": values[-1] for name, values in vars(trace).items()}, **(extra_meta or {})}
     model = Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)
     return model, trace
 

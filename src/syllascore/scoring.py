@@ -17,6 +17,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import corpus, nn
+from .dataset import filter_cohort, split_rows
 from .errors import DegenerateInput, EmptySession, EmptySplit
 
 logger = logging.getLogger(__name__)
@@ -172,12 +173,8 @@ def score_sessions(model, manifest, pairs, fragment_mean=False, expert_marks=Fal
     return ScoreGrid(reports=reports, expert_correlation=correlation, skipped_sessions=skipped)
 
 
-def _per_class_accuracy(pred, y):
-    out = {}
-    for cls in (0, 1):
-        mask = y == cls
-        out[str(cls)] = float(np.mean(pred[mask] == cls)) if mask.any() else None
-    return out
+def _per_class_accuracy(p, y):
+    return {str(cls): nn.accuracy(p[y == cls], y[y == cls]) if np.any(y == cls) else None for cls in (0, 1)}
 
 
 def evaluate(p, y, split, cohort="all"):
@@ -185,17 +182,41 @@ def evaluate(p, y, split, cohort="all"):
     train, test = split.train_indices, split.test_indices
     if test.size == 0:
         raise EmptySplit("test split is empty")
-    pred = (np.asarray(p) >= nn.PREDICT_THRESHOLD).astype(int)
-    y = np.asarray(y).astype(int)
+    p, y = np.asarray(p), np.asarray(y)
     return EvalReport(
         cohort=str(cohort),
         n_train=int(train.size),
         n_test=int(test.size),
-        train_accuracy=float(np.mean(pred[train] == y[train])),
-        test_accuracy=float(np.mean(pred[test] == y[test])),
-        train_per_class=_per_class_accuracy(pred[train], y[train]),
-        test_per_class=_per_class_accuracy(pred[test], y[test]),
+        train_accuracy=nn.accuracy(p[train], y[train]),
+        test_accuracy=nn.accuracy(p[test], y[test]),
+        train_per_class=_per_class_accuracy(p[train], y[train]),
+        test_per_class=_per_class_accuracy(p[test], y[test]),
     )
+
+
+def evaluate_cohorts(model, manifest, cohorts):
+    """Accuracy of a model on each cohort's split of its labeled sessions (1 and 2).
+
+    Every cohort is checked (EmptyCohort) before their patients' sessions are
+    read and run through the network once (session_probabilities). Each
+    cohort takes its patients' rows as if read alone and rebuilds the model's
+    split over them. Returns an EvalReport, or an EvalGrid for several cohorts.
+    """
+    members = [{r.patient_id for r in filter_cohort(manifest, cohort).records} for cohort in cohorts]
+    pairs = sorted({(r.patient_id, r.session_index) for r in manifest.records
+                    if r.session_index in (1, 2) and any(r.patient_id in m for m in members)})
+    sessions, _ = session_probabilities(model, manifest, pairs)
+    if not sessions:
+        raise DegenerateInput("no fragments survived preprocessing")
+    _, _, records, counts, probabilities = zip(*sessions)
+    y, groups = corpus.labeled_rows([r for rs in records for r in rs], [n for ns in counts for n in ns])
+    p = np.concatenate(probabilities)
+    reports = []
+    for cohort, patients in zip(cohorts, members):
+        rows = np.flatnonzero([patient in patients for patient, _, _ in groups])  # groups are record keys
+        split = split_rows([groups[i] for i in rows], y[rows], model.train_meta or {})
+        reports.append(evaluate(p[rows], y[rows], split, cohort=str(cohort)))
+    return EvalGrid(reports) if len(reports) > 1 else reports[0]
 
 
 def pearson(xs, ys):

@@ -130,7 +130,7 @@ def test_criterion_3_dsp_oracles():
     for t in range(0, 101):
         frames = np.ones((t, 513))
         expected = max(0, (t - 8) // 8 + 1) if t >= 8 else 0
-        formula_ok &= len(slice_fragments(Spectrogram(frames, 256), cfg)) == expected
+        formula_ok &= len(slice_fragments(Spectrogram(frames), cfg)) == expected
 
     elapsed = time.monotonic() - t0
     _verdict(3, "dsp oracles",

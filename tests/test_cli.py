@@ -2,7 +2,10 @@ import copy
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -288,6 +291,30 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(corpus_dir / "nope.json"),
                      "--manifest", str(corpus_dir / "manifest.txt")])
         assert code == 3
+
+
+class TestDeterminism:
+    def test_fresh_runs_at_two_blas_threads_write_identical_bytes(self, tmp_path):
+        """Outputs are identical for a fixed seed and BLAS thread count: two fresh
+        synth -> train -> score processes at OPENBLAS_NUM_THREADS=2 write the same bytes."""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        commands = [["synth", "--out", "corpus", "--patients", "1", "--syllables", "4", "--duration", "0.5",
+                     "--severities", "0.9,0.1"],
+                    ["train", "--manifest", "corpus/manifest.txt", "--model-out", "model.json", "--epochs", "2"],
+                    ["score", "--model", "model.json", "--manifest", "corpus/manifest.txt", "--format", "json",
+                     "--out", "score.json"]]
+        outputs = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            for argv in commands:
+                done = subprocess.run([sys.executable, "-m", "syllascore.cli", *argv], cwd=tmp_path / run,
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+            outputs.append({name: (tmp_path / run / name).read_bytes()
+                            for name in ("model.json", "model.trace.csv", "score.json")})
+        assert outputs[0] == outputs[1]
 
 
 class TestScoreCommand:

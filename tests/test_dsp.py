@@ -87,18 +87,18 @@ class TestStft:
 class TestGate:
     def test_equal_energy_keeps_all(self):
         frames = np.full((5, 513), 0.3)
-        out = gate_silence(Spectrogram(frames, 256), DspConfig())
+        out = gate_silence(Spectrogram(frames), DspConfig())
         assert np.array_equal(out.frames, frames)
 
     def test_zero_frame_dropped(self):
         frames = np.zeros((2, 513))
         frames[0] = 1.0
-        out = gate_silence(Spectrogram(frames, 256), DspConfig())
+        out = gate_silence(Spectrogram(frames), DspConfig())
         assert out.n_frames == 1
         assert np.all(out.frames == 1.0)
 
     def test_all_zero_gates_to_empty(self):
-        out = gate_silence(Spectrogram(np.zeros((4, 513)), 256), DspConfig())
+        out = gate_silence(Spectrogram(np.zeros((4, 513))), DspConfig())
         assert out.n_frames == 0
 
     def test_order_preserved_and_idempotent(self):
@@ -107,7 +107,7 @@ class TestGate:
             frames = rng.uniform(0, 1, (12, 513))
             frames[rng.integers(0, 12, 3)] *= 1e-4  # some quiet frames
             cfg = DspConfig(gate_ratio=1e-2)
-            once = gate_silence(Spectrogram(frames, 256), cfg)
+            once = gate_silence(Spectrogram(frames), cfg)
             # surviving frames appear in original order
             energies = np.sum(frames**2, axis=1)
             kept = energies >= cfg.gate_ratio * energies.max()
@@ -120,14 +120,14 @@ class TestLogCompress:
     def test_floor_and_unit(self):
         cfg = DspConfig()
         frames = np.array([[0.0] * 513, [1.0 - 1e-10] * 513])
-        out = log_compress(Spectrogram(frames, 256), cfg)
+        out = log_compress(Spectrogram(frames), cfg)
         np.testing.assert_allclose(out.frames[0], -10.0, atol=1e-12)
         np.testing.assert_allclose(out.frames[1], 0.0, atol=1e-12)
 
     def test_monotonic(self):
         rng = np.random.default_rng(2)
         a, b = np.sort(rng.uniform(0, 5, (2, 513)), axis=0)
-        out = log_compress(Spectrogram(np.vstack([a, b]), 256), DspConfig())
+        out = log_compress(Spectrogram(np.vstack([a, b])), DspConfig())
         assert np.all(out.frames[0] <= out.frames[1])
         strict = a < b
         assert np.all(out.frames[0][strict] < out.frames[1][strict])
@@ -135,7 +135,7 @@ class TestLogCompress:
 
 class TestSliceFragments:
     def _spec(self, t):
-        return Spectrogram(np.arange(t)[:, None] * np.ones((1, 513)), 256)
+        return Spectrogram(np.arange(t)[:, None] * np.ones((1, 513)))
 
     def test_two_non_overlapping(self):
         frags = slice_fragments(self._spec(16), DspConfig())

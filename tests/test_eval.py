@@ -4,7 +4,8 @@ Each (patient, session 1|2) stack goes through one forward_batch, so
 nn.FORWARD_CHUNK must not show in any output, each recording is read once,
 several cohorts at once give each cohort's one-cohort probabilities bit for
 bit, the line order of the manifest does not matter, and memory does not
-grow with the number of recordings.
+grow with the number of recordings. Train and eval split and score the
+same rows, so eval of the training cohort gives the accuracies train stored.
 """
 
 import contextlib
@@ -267,3 +268,27 @@ def test_memory_does_not_grow_with_the_corpus(eval_corpus, tmp_path, monkeypatch
         assert code == 0
     stack, _, _ = corpus.collect_training_fragments(manifests[1], nn.load_model(models["plain"]).dsp_config)
     assert peaks[2] - peaks[1] < stack.nbytes
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    assert main(["synth", "--out", str(root), "--patients", "2", "--syllables", "4", "--duration", "0.5"]) == 0
+    return str(root / "manifest.txt")
+
+
+@pytest.mark.parametrize("standardize", [[], ["--standardize"]], ids=["raw", "standardized"])
+@pytest.mark.parametrize("split_by", ["fragment", "syllable"])
+def test_eval_reproduces_the_accuracies_train_stored(tiny_manifest, tmp_path, split_by, standardize):
+    """eval of the training cohort rebuilds train's split over the same rows and gives train_meta's
+    final accuracies exactly: train runs the network over each split side, eval once per session."""
+    model, out = tmp_path / "model.json", tmp_path / "eval.json"
+    assert main(["train", "--manifest", tiny_manifest, "--model-out", str(model), "--epochs", "2",
+                 "--split-by", split_by, *standardize]) == 0
+    assert main(["eval", "--model", str(model), "--manifest", tiny_manifest, "--format", "json",
+                 "--out", str(out)]) == 0
+    meta = nn.load_model(model).train_meta
+    report = scoring.from_json(out.read_text(encoding="utf-8"))
+    assert (report.n_train, report.n_test) == (meta["n_train"], meta["n_test"])
+    assert report.train_accuracy == meta["final_train_accuracy"]
+    assert report.test_accuracy == meta["final_test_accuracy"]
