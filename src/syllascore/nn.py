@@ -6,11 +6,15 @@ is involved, which keeps training bit-deterministic for a fixed seed and
 BLAS thread count and makes the analytic gradients checkable against finite
 differences.
 
-Training (gradients and Adam) runs in double precision. Every forward that
-reports probabilities (forward_batch: training metrics, eval, score) runs in
-single precision over the float32 rounding of the parameters, which is
-exactly what a model file stores, so a trained model and its reloaded file
-give the same probabilities bit for bit.
+Training keeps float64 master parameters and runs Adam in float64; each
+step's gradient is computed in single precision over the float32 rounding of
+the parameters and widened to float64 for the norm, the clip and Adam
+(mixed precision, Micikevicius et al., arXiv:1710.03740). The public
+backward runs in double precision. Every forward that reports probabilities
+(forward_batch: training metrics, eval, score) runs in single precision over
+the float32 rounding of the parameters, which is exactly what a model file
+stores, so a trained model and its reloaded file give the same probabilities
+bit for bit.
 
 All trainable parameters live in one flat float64 vector. Layout, in order:
 
@@ -30,6 +34,7 @@ probability (1 = pre-operation reference class).
 
 import hashlib
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,10 +50,13 @@ BCE_EPS = 1e-7
 PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
-FORWARD_CHUNK = 512  # fragments per _forward_full call inside forward_batch; bounds the LSTM state
+FORWARD_CHUNK = 512  # fragments per network pass inside forward_batch; bounds the LSTM state
 # arrays of train's metrics and of an eval or score session over 512 fragments
+ADAM_BLOCK = 16384  # elements per adam_step pass: a block of each operand and work vector stays in cache
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,8 @@ def hard_sigmoid(x):
 
 
 def _hard_sigmoid_grad(x):
-    # derivative is 0.2 strictly inside the linear region, 0 at and beyond it
-    return np.where((x > -2.5) & (x < 2.5), 0.2, 0.0)
+    # derivative is 0.2 strictly inside the linear region, 0 at and beyond it; x's dtype
+    return np.where((x > -2.5) & (x < 2.5), x.dtype.type(0.2), 0)
 
 
 def _lstm_forward(x_seq, W, U, b):
@@ -161,7 +169,7 @@ def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
     B, T, D = x_seq.shape
     H = U.shape[0]
     dz = np.empty_like(gates)
-    dh_rec = dc = np.zeros((B, H))
+    dh_rec = dc = np.zeros((B, H), gates.dtype)
     for t in range(T - 1, -1, -1):
         i, f, g, o = (gates[:, t, k * H : (k + 1) * H] for k in range(4))
         c_prev = cells[:, t - 1] if t else 0.0
@@ -181,15 +189,21 @@ def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
     return dz
 
 
+def _head(views, h_last):
+    """The dense stack over LSTM-2's last hidden states: probabilities, plus the
+    activations (a1, a2, z3) that backprop reads."""
+    a1 = np.tanh(h_last @ views["dense1.W"] + views["dense1.b"])
+    a2 = expit(a1 @ views["dense2.W"] + views["dense2.b"])
+    z3 = (a2 @ views["dense3.W"] + views["dense3.b"])[:, 0]
+    return hard_sigmoid(z3), (a1, a2, z3)
+
+
 def _forward_full(views, X):
     """Probability head over a (B, steps, input_dim) batch, plus what backprop reads."""
     states1, cache1 = _lstm_forward(X, views["lstm1.W"], views["lstm1.U"], views["lstm1.b"])
     states2, cache2 = _lstm_forward(states1, views["lstm2.W"], views["lstm2.U"], views["lstm2.b"])
-    h_last = states2[:, -1]
-    a1 = np.tanh(h_last @ views["dense1.W"] + views["dense1.b"])
-    a2 = expit(a1 @ views["dense2.W"] + views["dense2.b"])
-    z3 = (a2 @ views["dense3.W"] + views["dense3.b"])[:, 0]
-    return hard_sigmoid(z3), (states1, cache1, states2, cache2, a1, a2, z3)
+    p, (a1, a2, z3) = _head(views, states2[:, -1])
+    return p, (states1, cache1, states2, cache2, a1, a2, z3)
 
 
 def _check_batch(arch, X):
@@ -240,14 +254,18 @@ def forward_batch(model, X):
 
     The network runs in float32 over the float32 rounding of the parameters,
     the values a model file stores; the probabilities come back as float64.
-    Raises DegenerateInput if any probability is not finite.
+    Only each layer's states are kept, so a chunk's input and LSTM-1's cache
+    are freed before LSTM-2 runs. Raises DegenerateInput if any probability
+    is not finite.
     """
     X = _check_batch(model.arch, X)
     views = _views(model.arch, model.params.astype(np.float32))
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], FORWARD_CHUNK):
-        chunk = X[start : start + FORWARD_CHUNK].astype(np.float32)
-        out[start : start + FORWARD_CHUNK], _ = _forward_full(views, chunk)
+        states = X[start : start + FORWARD_CHUNK].astype(np.float32)
+        for layer in ("lstm1", "lstm2"):
+            states = _lstm_forward(states, views[f"{layer}.W"], views[f"{layer}.U"], views[f"{layer}.b"])[0]
+        out[start : start + FORWARD_CHUNK], _ = _head(views, states[:, -1])
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
         raise DegenerateInput(f"{bad} of {out.size} probabilities are not finite: "
@@ -278,13 +296,24 @@ def forward_stream(model, batches):
 
 
 def bce_loss(p, y):
-    """Elementwise binary cross-entropy, probabilities clamped to [1e-7, 1 - 1e-7]."""
+    """Elementwise binary cross-entropy, probabilities clamped to [1e-7, 1 - 1e-7].
+
+    The clamp's edges are rounded to p's dtype: for float32 p (train's
+    gradient step) the upper edge is float32(1 - 1e-7) = 1 - 2**-23.
+    """
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return -(y * np.log(pt) + (1.0 - y) * np.log(1.0 - pt))
 
 
 def _grad(arch, params, X, y):
-    """Gradient of the mean batch loss w.r.t. every parameter, plus the loss."""
+    """Gradient of the mean batch loss w.r.t. every parameter, plus the loss.
+
+    Runs in the dtype of params and X (float32 in train, float64 in
+    backward), which the labels y must share. The backward always runs, so a
+    step costs the same whatever the data: a batch in which no row reaches
+    the loss (each has |z3| >= 2.5 or a clamped p) gets an exactly zero
+    gradient from it.
+    """
     B = X.shape[0]
     views = _views(arch, params)
     p, (states1, cache1, states2, cache2, a1, a2, z3) = _forward_full(views, X)
@@ -292,10 +321,10 @@ def _grad(arch, params, X, y):
 
     pt = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     inside_clamp = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
-    dp = np.where(inside_clamp, (pt - y) / (pt * (1.0 - pt)), 0.0) / B
+    dp = np.where(inside_clamp, (pt - y) / (pt * (1.0 - pt)), 0) / B
     dz3 = dp * _hard_sigmoid_grad(z3)
 
-    grad = np.zeros(arch.param_count)
+    grad = np.zeros(arch.param_count, params.dtype)
     g = _views(arch, grad)
 
     g["dense3.W"] += a2.T @ dz3[:, None]
@@ -310,7 +339,7 @@ def _grad(arch, params, X, y):
     g["dense1.b"] += dz1.sum(axis=0)
     dh_last = dz1 @ views["dense1.W"].T
 
-    d_states2 = np.zeros((B, arch.input_steps, arch.lstm2_units))
+    d_states2 = np.zeros((B, arch.input_steps, arch.lstm2_units), params.dtype)
     d_states2[:, -1] = dh_last
     dz2 = _lstm_backward(states1, states2, cache2, views["lstm2.U"],
                          d_states2, g["lstm2.W"], g["lstm2.U"], g["lstm2.b"])
@@ -344,25 +373,31 @@ def adam_step(params, grads, state, lr=1e-3):
     """One Adam update with bias correction; mutates params and state.
 
     params -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
-    and v_hat = v / (1 - beta2^t), computed in place in two work vectors: each
-    operation takes the same operands in the same order as that formula.
+    and v_hat = v / (1 - beta2^t), computed in place, ADAM_BLOCK elements at a
+    time, in two block-sized work vectors: each operation takes the same
+    operands in the same order as that formula. Vectors are flat.
     """
     state.t += 1
-    a, b = np.empty_like(params), np.empty_like(params)
-    np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
-    state.m *= ADAM_BETA1
-    state.m += a
-    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
-    a *= grads
-    state.v *= ADAM_BETA2
-    state.v += a
-    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=a)  # v_hat
-    np.sqrt(a, out=a)
-    a += ADAM_EPS
-    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=b)  # m_hat
-    b *= lr
-    b /= a
-    params -= b
+    m_scale, v_scale = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
+    work_a, work_b = np.empty((2, min(ADAM_BLOCK, params.size)), params.dtype)
+    for start in range(0, params.size, ADAM_BLOCK):
+        span = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = params[span], grads[span], state.m[span], state.v[span]
+        a, b = work_a[: p.size], work_b[: p.size]
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m *= ADAM_BETA1
+        m += a
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v *= ADAM_BETA2
+        v += a
+        np.divide(v, v_scale, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, m_scale, out=b)  # m_hat
+        b *= lr
+        b /= a
+        p -= b
     return params, state
 
 
@@ -417,7 +452,9 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     fragments, applied everywhere, and frozen into the returned model.
     A non-finite batch loss or gradient norm, a parameter beyond float32
     range, or an epoch's metrics forward that overflows float32 raises
-    DegenerateInput naming the epoch (and step).
+    DegenerateInput naming the epoch (and step). Each step's gradient is
+    computed in float32 (see the module docstring). Logs one INFO line per
+    epoch: its metrics and how many steps had an exactly zero gradient.
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X)
@@ -453,16 +490,21 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     n_train = X_train.shape[0]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
+        zero_steps = 0
         for step, start in enumerate(range(0, n_train, config.batch_size), start=1):
             sel = order[start : start + config.batch_size]
-            grad, loss = _grad(arch, params, X_train[sel], y_train[sel])
+            grad, loss = _grad(arch, params.astype(np.float32), X_train[sel].astype(np.float32),
+                               y_train[sel].astype(np.float32))
+            grad = grad.astype(np.float64)
             norm = float(np.linalg.norm(grad))
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
                                       f"batch loss {loss}, gradient norm {norm}")
+            zero_steps += norm == 0.0
             if config.clip_norm is not None and norm > config.clip_norm:
                 grad *= config.clip_norm / norm
             adam_step(params, grad, state, lr=config.learning_rate)
+        del grad  # no gradient buffer stays alive across the epoch metrics
         largest = float(max(params.max(), -params.min()))  # nan if any parameter is
         if not largest <= F32_MAX:
             raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter {largest:.3g} "
@@ -476,6 +518,9 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
         trace.train_accuracy.append(train_acc)
         trace.test_loss.append(test_loss)
         trace.test_accuracy.append(test_acc)
+        logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, "
+                    "%d of %d steps with a zero gradient", epoch, config.epochs, train_loss, train_acc,
+                    test_loss, test_acc, zero_steps, step)
 
     meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
             "n_train": int(n_train), "n_test": int(X_test.shape[0]),

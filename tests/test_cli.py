@@ -316,6 +316,25 @@ class TestDeterminism:
                             for name in ("model.json", "model.trace.csv", "score.json")})
         assert outputs[0] == outputs[1]
 
+    def test_verbose_logs_each_epoch_and_writes_identical_bytes(self, cli_run, tmp_path):
+        corpus_dir, _, _ = cli_run
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs, errs = [], []
+        for flags in ([], ["-v"]):
+            out = tmp_path / ("verbose" if flags else "quiet")
+            argv = [*flags, "train", "--manifest", str(corpus_dir / "manifest.txt"), "--cohort", "individual:P001",
+                    "--model-out", str(out / "model.json"), "--trace-out", str(out / "trace.csv"),
+                    "--epochs", "3", "--seed", "9"]
+            done = subprocess.run([sys.executable, "-m", "syllascore.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes() for name in ("model.json", "trace.csv")])
+            errs.append([line for line in done.stderr.splitlines() if "zero gradient" in line])
+        assert outputs[0] == outputs[1]
+        assert errs[0] == []
+        assert [line.split(":")[0] for line in errs[1]] == [f"INFO epoch {k}/3" for k in (1, 2, 3)]
+
 
 class TestScoreCommand:
     def test_scores_trajectory_sessions(self, cli_run, tmp_path):
