@@ -14,7 +14,9 @@ backward runs in double precision. Every forward that reports probabilities
 (forward_batch: training metrics, eval, score) runs in single precision over
 the float32 rounding of the parameters, which is exactly what a model file
 stores, so a trained model and its reloaded file give the same probabilities
-bit for bit.
+bit for bit. train casts its two splits to float32 once, and runs each
+epoch's metrics on one worker thread while the next epoch's steps run; each
+is the forward_batch call it would be in line, so the bytes out are the same.
 
 All trainable parameters live in one flat float64 vector. Layout, in order:
 
@@ -51,7 +53,8 @@ PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
 FORWARD_CHUNK = 512  # fragments per network pass inside forward_batch; bounds the LSTM state
-# arrays of train's metrics and of an eval or score session over 512 fragments
+# arrays of train's metrics and of an eval or score session over 512 fragments, and the
+# float64 rows train converts to float32 at a time
 ADAM_BLOCK = 16384  # elements per adam_step pass: a block of each operand and work vector stays in cache
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
@@ -206,8 +209,11 @@ def _forward_full(views, X):
     return p, (states1, cache1, states2, cache2, a1, a2, z3)
 
 
-def _check_batch(arch, X):
-    X = np.ascontiguousarray(X, dtype=np.float64)
+def _check_batch(arch, X, keep_float32=False):
+    """X as a C-contiguous float64 stack of (steps, input_dim) fragments; with
+    keep_float32, a float32 X stays float32."""
+    X = np.asarray(X)
+    X = np.ascontiguousarray(X, np.float32 if keep_float32 and X.dtype == np.float32 else np.float64)
     if X.ndim != 3 or X.shape[1:] != (arch.input_steps, arch.input_dim):
         raise ShapeMismatch(
             f"expected fragments of shape ({arch.input_steps}, {arch.input_dim}), got {X.shape[1:]}"
@@ -254,15 +260,16 @@ def forward_batch(model, X):
 
     The network runs in float32 over the float32 rounding of the parameters,
     the values a model file stores; the probabilities come back as float64.
+    A float32 X, or float32 parameters, are used as they are, not copied.
     Only each layer's states are kept, so a chunk's input and LSTM-1's cache
     are freed before LSTM-2 runs. Raises DegenerateInput if any probability
     is not finite.
     """
-    X = _check_batch(model.arch, X)
-    views = _views(model.arch, model.params.astype(np.float32))
+    X = _check_batch(model.arch, X, keep_float32=True)
+    views = _views(model.arch, model.params.astype(np.float32, copy=False))
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], FORWARD_CHUNK):
-        states = X[start : start + FORWARD_CHUNK].astype(np.float32)
+        states = X[start : start + FORWARD_CHUNK].astype(np.float32, copy=False)
         for layer in ("lstm1", "lstm2"):
             states = _lstm_forward(states, views[f"{layer}.W"], views[f"{layer}.U"], views[f"{layer}.b"])[0]
         out[start : start + FORWARD_CHUNK], _ = _head(views, states[:, -1])
@@ -438,9 +445,21 @@ def accuracy(p, y):
     return float(np.mean((p >= PREDICT_THRESHOLD) == (y == 1)))
 
 
-def _metrics(model, X, y):
-    p = forward_batch(model, X)
+def _metrics(p, y):
     return float(bce_loss(p, y).mean()), accuracy(p, y)
+
+
+def _float32_rows(X, rows, mean=None, std=None):
+    """X's rows as one float32 stack, standardized first in float64 if mean and std
+    are given. FORWARD_CHUNK rows at a time, so no float64 copy of all the rows exists."""
+    out = np.empty((len(rows), *X.shape[1:]), np.float32)
+    for start in range(0, len(rows), FORWARD_CHUNK):
+        Z = X[rows[start : start + FORWARD_CHUNK]]
+        if mean is not None:
+            Z -= mean
+            Z /= std
+        out[start : start + FORWARD_CHUNK] = Z
+    return out
 
 
 @np.errstate(all="ignore")  # divergence is caught by the explicit checks below, not by warnings
@@ -455,6 +474,14 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     DegenerateInput naming the epoch (and step). Each step's gradient is
     computed in float32 (see the module docstring). Logs one INFO line per
     epoch: its metrics and how many steps had an exactly zero gradient.
+
+    The splits are cast to float32 once. An epoch's metrics are forward_batch
+    over each split at a float32 snapshot of that epoch's final parameters;
+    they run on one worker thread, which lives only for the call, while the
+    next epoch's steps run. They are collected in epoch order, each before the
+    next epoch's are submitted and before a later epoch's divergence is
+    raised, so the trace, the log lines and the error are those of running
+    them in line.
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X)
@@ -474,53 +501,66 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     mean = std = None
     if standardize:
         flat = X[train_idx].reshape(-1, arch.input_dim)
-        mean = flat.mean(axis=0)
-        std = np.maximum(flat.std(axis=0), 1e-8)
-        X = (X - mean) / std
-
-    X_train, X_test = X[train_idx], X[test_idx]
+        mean, std = flat.mean(axis=0), np.maximum(flat.std(axis=0), 1e-8)
+        del flat
+    X_train, X_test = (_float32_rows(X, rows, mean, std) for rows in (train_idx, test_idx))
+    del X  # only the float32 splits stay alive across the epochs
     y_test = y[test_idx]
 
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
-    current = Model(arch, params)  # shares params, which adam_step updates in place
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
     trace = TrainTrace()
 
-    n_train = X_train.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        zero_steps = 0
-        for step, start in enumerate(range(0, n_train, config.batch_size), start=1):
-            sel = order[start : start + config.batch_size]
-            grad, loss = _grad(arch, params.astype(np.float32), X_train[sel].astype(np.float32),
-                               y_train[sel].astype(np.float32))
-            grad = grad.astype(np.float64)
-            norm = float(np.linalg.norm(grad))
-            if not (np.isfinite(loss) and np.isfinite(norm)):
-                raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
-                                      f"batch loss {loss}, gradient norm {norm}")
-            zero_steps += norm == 0.0
-            if config.clip_norm is not None and norm > config.clip_norm:
-                grad *= config.clip_norm / norm
-            adam_step(params, grad, state, lr=config.learning_rate)
-        del grad  # no gradient buffer stays alive across the epoch metrics
-        largest = float(max(params.max(), -params.min()))  # nan if any parameter is
-        if not largest <= F32_MAX:
-            raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter {largest:.3g} "
-                                  f"(a model file holds at most {F32_MAX:.3g})")
+    def collect(epoch, zero_steps, steps, train_forward, test_forward):
         try:  # forward_batch refuses non-finite probabilities, so the losses are finite
-            train_loss, train_acc = _metrics(current, X_train, y_train)
-            test_loss, test_acc = _metrics(current, X_test, y_test)
+            p_train, p_test = train_forward.result(), test_forward.result()
         except DegenerateInput as exc:
             raise DegenerateInput(f"training diverged in epoch {epoch}: {exc}") from None
+        train_loss, train_acc = _metrics(p_train, y_train)
+        test_loss, test_acc = _metrics(p_test, y_test)
         trace.train_loss.append(train_loss)
         trace.train_accuracy.append(train_acc)
         trace.test_loss.append(test_loss)
         trace.test_accuracy.append(test_acc)
         logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, "
                     "%d of %d steps with a zero gradient", epoch, config.epochs, train_loss, train_acc,
-                    test_loss, test_acc, zero_steps, step)
+                    test_loss, test_acc, zero_steps, steps)
+
+    n_train = X_train.shape[0]
+    pending = None  # the previous epoch's collect arguments, its forwards in flight
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n_train)
+            zero_steps = 0
+            try:
+                for step, start in enumerate(range(0, n_train, config.batch_size), start=1):
+                    sel = order[start : start + config.batch_size]
+                    grad, loss = _grad(arch, params.astype(np.float32), X_train[sel],
+                                       y_train[sel].astype(np.float32))
+                    grad = grad.astype(np.float64)
+                    norm = float(np.linalg.norm(grad))
+                    if not (np.isfinite(loss) and np.isfinite(norm)):
+                        raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
+                                              f"batch loss {loss}, gradient norm {norm}")
+                    zero_steps += norm == 0.0
+                    if config.clip_norm is not None and norm > config.clip_norm:
+                        grad *= config.clip_norm / norm
+                    adam_step(params, grad, state, lr=config.learning_rate)
+                largest = float(max(params.max(), -params.min()))  # nan if any parameter is
+                if not largest <= F32_MAX:
+                    raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter "
+                                          f"{largest:.3g} (a model file holds at most {F32_MAX:.3g})")
+            except DegenerateInput:
+                if pending is not None:  # in line, the previous epoch's metrics ran before this epoch
+                    collect(*pending)
+                raise
+            snapshot = Model(arch, params.astype(np.float32))  # the next adam_step mutates params in place
+            if pending is not None:
+                collect(*pending)
+            pending = (epoch, zero_steps, step, worker.submit(forward_batch, snapshot, X_train),
+                       worker.submit(forward_batch, snapshot, X_test))  # looked up now: wrappers apply
+        collect(*pending)
 
     meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
             "n_train": int(n_train), "n_test": int(X_test.shape[0]),

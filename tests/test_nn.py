@@ -206,6 +206,24 @@ class TestSinglePrecisionForward:
         full, _ = nn._forward_full(nn._views(arch, model.params.astype(np.float32)), X.astype(np.float32))
         assert np.array_equal(nn.forward_batch(model, X), full.astype(np.float64))
 
+    def test_float32_stack_is_taken_as_it_is(self, monkeypatch):
+        # train hands forward_batch its float32 splits: same probabilities, no widened copy
+        lstm, inputs = nn._lstm_forward, []
+
+        def recorded_lstm(x_seq, W, U, b):
+            inputs.append(x_seq)
+            return lstm(x_seq, W, U, b)
+
+        model = _random_model(TINY, 20, jitter=0.3)
+        X = np.random.default_rng(20).normal(0.0, 1.0, (nn.FORWARD_CHUNK + 3, 4, 2))
+        X32 = X.astype(np.float32)
+        expected = nn.forward_batch(model, X)
+        monkeypatch.setattr(nn, "_lstm_forward", recorded_lstm)
+        assert np.array_equal(nn.forward_batch(model, X32), expected)
+        assert all(np.shares_memory(x_seq, X32) for x_seq in inputs[::2])  # each chunk's LSTM-1 input
+        with pytest.raises(ShapeMismatch):
+            nn.forward_batch(model, np.zeros((3, 4, 3), np.float32))
+
     @pytest.mark.filterwarnings("error")
     def test_single_precision_overflow_raises_degenerate_input(self):
         # parameters this large are storable, but the float32 forward overflows
@@ -535,6 +553,68 @@ class TestTrain:
         m2, t2 = nn.train(X, y, split, config)
         assert np.array_equal(m1.params, m2.params)
         assert t1.rows() == t2.rows()
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_each_trace_row_is_a_shorter_runs_final_forward(self, standardize):
+        # epochs 1..k of a 3-epoch run are a k-epoch run at the same seed, so row k
+        # must be the metrics of forward_batch over the k-epoch model, computed here
+        # in line on the calling thread
+        rng = np.random.default_rng(12)
+        X, y = _toy_corpus(rng, n=40)
+        split = split_fragments(len(y), y, ratio=0.8, seed=12)
+        before = threading.active_count()
+        _, trace = nn.train(X, y, split, nn.TrainConfig(epochs=3, batch_size=8, seed=12), standardize=standardize)
+        assert threading.active_count() == before
+        for k in (1, 2, 3):
+            model, shorter = nn.train(X, y, split, nn.TrainConfig(epochs=k, batch_size=8, seed=12),
+                                      standardize=standardize)
+            assert shorter.rows() == trace.rows()[:k]
+            row = []
+            for rows in (split.train_indices, split.test_indices):
+                p = nn.forward_batch(model, model.standardize(X[rows]))
+                row += [float(nn.bce_loss(p, y[rows]).mean()), nn.accuracy(p, y[rows])]
+            assert trace.rows()[k - 1] == tuple(row)
+
+    def test_float32_splits_are_the_standardized_rows_cast_once(self, monkeypatch):
+        monkeypatch.setattr(nn, "FORWARD_CHUNK", 3)  # several blocks and a ragged tail
+        rng = np.random.default_rng(14)
+        X = rng.normal(0.0, 2.0, (11, 4, 2))
+        rows = rng.permutation(11)[:8]
+        mean, std = rng.normal(0.0, 1.0, 2), rng.uniform(0.5, 2.0, 2)
+        for stats, expected in (((), X[rows]), ((mean, std), (X[rows] - mean) / std)):
+            split = nn._float32_rows(X, rows, *stats)
+            assert split.dtype == np.float32 and np.array_equal(split, expected.astype(np.float32))
+
+    @pytest.mark.parametrize("metrics_fail", [True, False])
+    @pytest.mark.filterwarnings("error")
+    def test_an_epochs_metrics_fail_before_a_later_epochs_step(self, monkeypatch, caplog, metrics_fail):
+        # epoch 2's first step runs while epoch 1's metrics are in flight; without
+        # the overlap epoch 1's metrics would have stopped training first
+        forward, grad, grads = nn.forward_batch, nn._grad, []
+
+        def failing_forward(model, X):
+            if metrics_fail:
+                raise DegenerateInput("3 of 19 probabilities are not finite")
+            return forward(model, X)
+
+        def diverging_grad(arch, params, X, y):
+            grads.append(len(X))
+            g, loss = grad(arch, params, X, y)
+            return g, (np.inf if len(grads) == 2 else loss)  # 19 rows: one step per epoch
+
+        monkeypatch.setattr(nn, "forward_batch", failing_forward)
+        monkeypatch.setattr(nn, "_grad", diverging_grad)
+        rng = np.random.default_rng(13)
+        X, y = _toy_corpus(rng, n=24)
+        split = split_fragments(len(y), y, ratio=0.8, seed=13)
+        before = threading.active_count()
+        wanted = "in epoch 1: 3 of 19" if metrics_fail else "at epoch 2, step 1: batch loss inf"
+        with caplog.at_level("INFO", logger="syllascore.nn"), pytest.raises(DegenerateInput, match=wanted):
+            nn.train(X, y, split, nn.TrainConfig(epochs=3, seed=13))
+        assert threading.active_count() == before
+        assert len(grads) == 2
+        lines = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "syllascore.nn"]
+        assert lines == ([] if metrics_fail else ["epoch 1/3"])
 
     def test_one_class_training_split_rejected(self):
         rng = np.random.default_rng(6)
