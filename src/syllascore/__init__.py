@@ -13,8 +13,8 @@ from .dataset import (Cohort, Manifest, SplitAssignment, SyllableRecord,
 from .dsp import (DspConfig, Fragment, Spectrogram, gate_silence, log_compress,
                   pipeline, slice_fragments, stft_magnitude)
 from .nn import (AdamState, Architecture, Model, TrainConfig, TrainTrace,
-                 adam_step, backward, bce_loss, forward_batch, forward_stream,
-                 hard_sigmoid, init_params, load_model, save_model, train)
+                 adam_step, backward, bce_loss, forward_batch, hard_sigmoid,
+                 init_params, load_model, overlap, save_model, train)
 from .scoring import (EvalGrid, EvalReport, ScoreGrid, ScoreReport, evaluate,
                       evaluate_cohorts, pearson, render, score_session,
                       score_sessions, session_probabilities)

@@ -278,18 +278,26 @@ def build_parser():
     return parser
 
 
-def _config_to_args(cfg):
+_REPEATABLE = {"eval": {"cohort"}}  # per subcommand, the flags declared with action="append"
+
+
+def _config_to_args(cfg, command):
+    """The flags a config object stands for; a value that no flag of command
+    takes (null, an object, a list for a flag given once) raises ValueError."""
     out = []
     for key, value in cfg.items():
         flag = f"--{key}"
         if isinstance(value, bool):
             if value:
                 out.append(flag)
-        elif isinstance(value, list):
-            for item in value:
-                out.extend([flag, str(item)])
-        else:
-            out.extend([flag, str(value)])
+            continue
+        repeatable = key in _REPEATABLE.get(command, ())
+        items = value if repeatable and isinstance(value, list) else [value]
+        if not all(isinstance(item, (str, int, float)) and not isinstance(item, bool) for item in items):
+            takes = "a string or a number" + (", or a list of them" if repeatable else "")
+            raise ValueError(f"key {key!r} takes {takes}, not {json.dumps(value):.40}")
+        for item in items:
+            out.extend([flag, str(item)])
     return out
 
 
@@ -324,7 +332,12 @@ def _expand_config(argv):
     sub_at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
     if sub_at is None:
         return argv, EXIT_USAGE
-    return argv[: sub_at + 1] + _config_to_args(cfg) + argv[sub_at + 1 :], None
+    try:
+        flags = _config_to_args(cfg, argv[sub_at])
+    except ValueError as exc:
+        print(f"error: config {path}: {exc}", file=sys.stderr)
+        return argv, EXIT_USAGE
+    return argv[: sub_at + 1] + flags + argv[sub_at + 1 :], None
 
 
 def main(argv=None):

@@ -14,9 +14,8 @@ backward runs in double precision. Every forward that reports probabilities
 (forward_batch: training metrics, eval, score) runs in single precision over
 the float32 rounding of the parameters, which is exactly what a model file
 stores, so a trained model and its reloaded file give the same probabilities
-bit for bit. train casts its two splits to float32 once, and runs each
-epoch's metrics on one worker thread while the next epoch's steps run; each
-is the forward_batch call it would be in line, so the bytes out are the same.
+bit for bit. train casts its two splits to float32 once and runs each
+epoch's metrics through overlap, beside the next epoch's steps.
 
 All trainable parameters live in one flat float64 vector. Layout, in order:
 
@@ -39,6 +38,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -280,26 +280,36 @@ def forward_batch(model, X):
     return out
 
 
-def forward_stream(model, batches):
-    """Yield forward_batch(model, X) for each array X of batches, in order.
+def overlap(jobs):
+    """Yield job() for each callable drawn from jobs, in order.
 
-    Each forward runs on one worker thread while the next X is drawn from
-    batches on the calling thread; BLAS and numpy's large loops release the
-    GIL, so a generator that reads and cuts recordings overlaps the network.
-    At most one forward runs while one batch is drawn. If batches raises,
-    the forward in flight finishes first and that exception propagates; a
-    forward's own exception comes out where its result would. No thread
-    outlives the call.
+    Each job runs on one worker thread while the next job is drawn on the
+    calling thread; BLAS and numpy's large loops release the GIL, so a
+    generator that reads recordings or runs training steps overlaps the
+    network. At most one job runs while one is drawn. Results and errors
+    come out in the order of running in line: a job's exception comes out
+    where its result would, and if drawing the next job raises, the job in
+    flight is yielded first (or raises its own exception), then the draw's
+    exception propagates. A job may run after the next one is drawn, so bind
+    its arguments when it is created (functools.partial). No thread outlives
+    the call.
     """
+    jobs, running = iter(jobs), None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = None
-        for X in batches:
-            running = worker.submit(forward_batch, model, X)  # looked up now: wrappers and patches apply
-            if pending is not None:
-                yield pending.result()
-            pending = running
-        if pending is not None:
-            yield pending.result()
+        while True:
+            try:
+                job = next(jobs)
+            except StopIteration:
+                break
+            except Exception:
+                if running is not None:
+                    yield running.result()  # in line, it ran before the draw that failed
+                raise
+            done, running = running, worker.submit(job)
+            if done is not None:
+                yield done.result()
+        if running is not None:
+            yield running.result()
 
 
 def bce_loss(p, y):
@@ -445,8 +455,15 @@ def accuracy(p, y):
     return float(np.mean((p >= PREDICT_THRESHOLD) == (y == 1)))
 
 
-def _metrics(p, y):
-    return float(bce_loss(p, y).mean()), accuracy(p, y)
+def _epoch_metrics(epoch, snapshot, X_train, y_train, X_test, y_test):
+    """An epoch's trace row, from forward_batch over each split at its parameters;
+    a forward that overflows float32 raises DegenerateInput naming the epoch."""
+    try:  # forward_batch refuses non-finite probabilities, so the losses are finite
+        p_train, p_test = forward_batch(snapshot, X_train), forward_batch(snapshot, X_test)
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"training diverged in epoch {epoch}: {exc}") from None
+    return (float(bce_loss(p_train, y_train).mean()), accuracy(p_train, y_train),
+            float(bce_loss(p_test, y_test).mean()), accuracy(p_test, y_test))
 
 
 def _float32_rows(X, rows, mean=None, std=None):
@@ -475,13 +492,9 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     computed in float32 (see the module docstring). Logs one INFO line per
     epoch: its metrics and how many steps had an exactly zero gradient.
 
-    The splits are cast to float32 once. An epoch's metrics are forward_batch
-    over each split at a float32 snapshot of that epoch's final parameters;
-    they run on one worker thread, which lives only for the call, while the
-    next epoch's steps run. They are collected in epoch order, each before the
-    next epoch's are submitted and before a later epoch's divergence is
-    raised, so the trace, the log lines and the error are those of running
-    them in line.
+    The splits are cast to float32 once. An epoch's metrics are one job for
+    overlap, forward_batch over each split at a float32 snapshot of that
+    epoch's final parameters, which runs while the next epoch's steps run.
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X)
@@ -510,57 +523,41 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
-    trace = TrainTrace()
-
-    def collect(epoch, zero_steps, steps, train_forward, test_forward):
-        try:  # forward_batch refuses non-finite probabilities, so the losses are finite
-            p_train, p_test = train_forward.result(), test_forward.result()
-        except DegenerateInput as exc:
-            raise DegenerateInput(f"training diverged in epoch {epoch}: {exc}") from None
-        train_loss, train_acc = _metrics(p_train, y_train)
-        test_loss, test_acc = _metrics(p_test, y_test)
-        trace.train_loss.append(train_loss)
-        trace.train_accuracy.append(train_acc)
-        trace.test_loss.append(test_loss)
-        trace.test_accuracy.append(test_acc)
-        logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, "
-                    "%d of %d steps with a zero gradient", epoch, config.epochs, train_loss, train_acc,
-                    test_loss, test_acc, zero_steps, steps)
-
     n_train = X_train.shape[0]
-    pending = None  # the previous epoch's collect arguments, its forwards in flight
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    starts = range(0, n_train, config.batch_size)
+    zero_steps = []  # per epoch; an epoch's steps run before the previous epoch's metrics are read
+
+    def epochs():
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_train)
-            zero_steps = 0
-            try:
-                for step, start in enumerate(range(0, n_train, config.batch_size), start=1):
-                    sel = order[start : start + config.batch_size]
-                    grad, loss = _grad(arch, params.astype(np.float32), X_train[sel],
-                                       y_train[sel].astype(np.float32))
-                    grad = grad.astype(np.float64)
-                    norm = float(np.linalg.norm(grad))
-                    if not (np.isfinite(loss) and np.isfinite(norm)):
-                        raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
-                                              f"batch loss {loss}, gradient norm {norm}")
-                    zero_steps += norm == 0.0
-                    if config.clip_norm is not None and norm > config.clip_norm:
-                        grad *= config.clip_norm / norm
-                    adam_step(params, grad, state, lr=config.learning_rate)
-                largest = float(max(params.max(), -params.min()))  # nan if any parameter is
-                if not largest <= F32_MAX:
-                    raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter "
-                                          f"{largest:.3g} (a model file holds at most {F32_MAX:.3g})")
-            except DegenerateInput:
-                if pending is not None:  # in line, the previous epoch's metrics ran before this epoch
-                    collect(*pending)
-                raise
+            zero_steps.append(0)
+            for step, start in enumerate(starts, start=1):
+                sel = order[start : start + config.batch_size]
+                grad, loss = _grad(arch, params.astype(np.float32), X_train[sel],
+                                   y_train[sel].astype(np.float32))
+                grad = grad.astype(np.float64)
+                norm = float(np.linalg.norm(grad))
+                if not (np.isfinite(loss) and np.isfinite(norm)):
+                    raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
+                                          f"batch loss {loss}, gradient norm {norm}")
+                zero_steps[-1] += norm == 0.0
+                if config.clip_norm is not None and norm > config.clip_norm:
+                    grad *= config.clip_norm / norm
+                adam_step(params, grad, state, lr=config.learning_rate)
+            largest = float(max(params.max(), -params.min()))  # nan if any parameter is
+            if not largest <= F32_MAX:
+                raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter "
+                                      f"{largest:.3g} (a model file holds at most {F32_MAX:.3g})")
             snapshot = Model(arch, params.astype(np.float32))  # the next adam_step mutates params in place
-            if pending is not None:
-                collect(*pending)
-            pending = (epoch, zero_steps, step, worker.submit(forward_batch, snapshot, X_train),
-                       worker.submit(forward_batch, snapshot, X_test))  # looked up now: wrappers apply
-        collect(*pending)
+            yield partial(_epoch_metrics, epoch, snapshot, X_train, y_train, X_test, y_test)
+
+    trace = TrainTrace()
+    for epoch, row in enumerate(overlap(epochs()), start=1):
+        for column, value in zip(vars(trace).values(), row):
+            column.append(value)
+        logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, "
+                    "%d of %d steps with a zero gradient", epoch, config.epochs, *row,
+                    zero_steps[epoch - 1], len(starts))
 
     meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
             "n_train": int(n_train), "n_test": int(X_test.shape[0]),

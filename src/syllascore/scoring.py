@@ -12,6 +12,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -116,8 +117,8 @@ def session_probabilities(model, manifest, pairs):
     """Run each (patient_id, session_index) session of pairs through the network.
 
     Each session's fragments are stacked (corpus.collect_session_fragments),
-    standardized and sent through the network once, on nn.forward_stream's
-    worker while the next session is read. Returns (sessions, skipped):
+    standardized and sent through the network once (nn.forward_batch), as a
+    job for nn.overlap while the next session is read. Returns (sessions, skipped):
     sessions holds (patient_id, session_index, records, counts, p) for each
     session with fragments, in pairs order, where p holds the probabilities
     of its stack and counts[i] how many of them records[i] gave; skipped
@@ -126,7 +127,7 @@ def session_probabilities(model, manifest, pairs):
     skipped = []
     sessions = []
 
-    def batches():
+    def jobs():
         for patient_id, session_index in pairs:
             try:
                 X, records, counts = corpus.collect_session_fragments(manifest, patient_id, session_index,
@@ -137,9 +138,9 @@ def session_probabilities(model, manifest, pairs):
                 skipped.append((patient_id, session_index))
                 continue
             sessions.append((patient_id, session_index, records, counts))
-            yield model.standardize(X)
+            yield partial(nn.forward_batch, model, model.standardize(X))
 
-    probabilities = list(nn.forward_stream(model, batches()))
+    probabilities = list(nn.overlap(jobs()))
     return [(*session, p) for session, p in zip(sessions, probabilities, strict=True)], skipped
 
 
@@ -358,9 +359,15 @@ def _decode(value, hint):
 
 
 def from_json(text):
-    """Parse a document produced by to_json back into its report object; any
-    other document, such as one with a missing, unknown or mistyped field, raises ValueError."""
-    doc = json.loads(text)
+    """Parse a document produced by to_json back into its report object; any other document,
+    such as one with a missing, unknown or mistyped field or a number that is not finite, raises ValueError."""
+    def finite(token):  # json.loads reads NaN, Infinity and 1e999 as floats, which no report holds
+        value = float(token)
+        if not np.isfinite(value):
+            raise ValueError(f"{token} is not a finite number")
+        return value
+
+    doc = json.loads(text, parse_float=finite, parse_constant=finite)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"not a report document (kind {kind!r:.40})")

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import dataclasses
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllascore import corpus, nn, scoring
+from syllascore import cli, corpus, nn, scoring
 from syllascore.audio import SampleBuffer, read_wav, write_wav
-from syllascore.cli import main
+from syllascore.cli import build_parser, main
 from syllascore.dataset import load_manifest
 from test_scoring import _sample_eval_report, _sample_score_report
 
@@ -112,6 +113,29 @@ class TestSynthCommand:
         assert wavs_a
         for wav in wavs_a:
             assert wav.read_bytes() == (b / "audio" / wav.name).read_bytes()
+
+
+def _order_outputs(manifest, out):
+    """The bytes of train's model and trace, then of score --expert-marks --format json
+    without and with --fragment-mean."""
+    out.mkdir(exist_ok=True)
+    assert main(["train", "--manifest", str(manifest), "--model-out", str(out / "model.json"),
+                 "--trace-out", str(out / "trace.csv"), "--epochs", "2", "--seed", "6"]) == 0
+    files = [out / "model.json", out / "trace.csv"]
+    for extra in ([], ["--fragment-mean"]):
+        files.append(out / f"scores{len(files)}.json")
+        assert main(["score", "--model", str(out / "model.json"), "--manifest", str(manifest),
+                     "--expert-marks", *extra, "--format", "json", "--out", str(files[-1])]) == 0
+    return [path.read_bytes() for path in files]
+
+
+@pytest.fixture(scope="module")
+def order_corpus(tmp_path_factory):
+    """A tiny corpus with one marked rehabilitation session, and its outputs in manifest order."""
+    corpus_dir = tmp_path_factory.mktemp("order") / "corpus"
+    assert main(["synth", "--out", str(corpus_dir), "--syllables", "3", "--duration", "0.5", "--seed", "6",
+                 "--severities", "0.5", "--expert-marks"]) == 0
+    return corpus_dir, _order_outputs(corpus_dir / "manifest.txt", corpus_dir.parent / "in_order")
 
 
 class TestTrainCommand:
@@ -214,23 +238,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "UTF-8" in err and "Traceback" not in err
 
-    def test_record_order_does_not_matter(self, tmp_path):
-        corpus_dir = tmp_path / "c"
-        main(["synth", "--out", str(corpus_dir), "--syllables", "3",
-              "--duration", "0.5", "--seed", "6"])
-        manifest = corpus_dir / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        header = [l for l in lines if l.startswith("#")]
-        records = [l for l in lines if not l.startswith("#")]
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_record_order_does_not_matter(self, order_corpus, data):
+        """Any order of the manifest's records gives the bytes of train's model and trace and
+        of score --expert-marks, with and without --fragment-mean."""
+        corpus_dir, expected = order_corpus
+        lines = (corpus_dir / "manifest.txt").read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        records = data.draw(st.permutations([line for line in lines if not line.startswith("#")]))
         shuffled = corpus_dir / "manifest_shuffled.txt"
-        shuffled.write_text("\n".join(header + records[::-1]) + "\n")
-        out = []
-        for name, man in (("a", manifest), ("b", shuffled)):
-            path = tmp_path / f"{name}.json"
-            assert main(["train", "--manifest", str(man), "--model-out", str(path),
-                         "--epochs", "2", "--seed", "6"]) == 0
-            out.append(path.read_bytes())
-        assert out[0] == out[1]
+        shuffled.write_text("\n".join(header + records) + "\n")
+        assert _order_outputs(shuffled, corpus_dir.parent / "shuffled") == expected
 
 
 class TestEvalCommand:
@@ -445,18 +464,41 @@ class TestModelFile:
                      "--manifest", str(corpus_dir / "manifest.txt")]) == 3
         assert "8x513" in capsys.readouterr().err
 
+    @staticmethod
+    def _overflowing_model(model_path, path):
+        """A copy of the model that loads, but whose float32 forward overflows."""
+        model = nn.load_model(model_path)
+        rng = np.random.default_rng(0)
+        nn.save_model(dataclasses.replace(model, params=rng.uniform(-1.0, 1.0, model.params.size) * 1e38), path)
+        return path
+
     @pytest.mark.parametrize("command", ["eval", "score"])  # score's forward runs on its worker thread
     def test_single_precision_overflow_exits_five(self, cli_run, tmp_path, capsys, command):
         corpus_dir, model_path, _ = cli_run
-        model = nn.load_model(model_path)
-        rng = np.random.default_rng(0)
-        path = tmp_path / "huge.json"  # loadable, but its float32 forward overflows
-        nn.save_model(dataclasses.replace(model, params=rng.uniform(-1.0, 1.0, model.params.size) * 1e38), path)
+        path = self._overflowing_model(model_path, tmp_path / "huge.json")
         out = tmp_path / "out.json"
         assert main([command, "--model", str(path), "--manifest", str(corpus_dir / "manifest.txt"),
                      "--format", "json", "--out", str(out)]) == 5
         err = capsys.readouterr().err
         assert "single precision" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, corrupt", [("eval", "P001_2_s03.wav"), ("score", "P001_4_s03.wav")])
+    def test_overflow_before_a_corrupt_recording_exits_five(self, cli_run, tmp_path, capsys, command, corrupt):
+        """The first session's forward overflows and the next session's recording is corrupt. In line
+        the forward runs before the next read, so the overflow is the error (exit 5), not the read (4)."""
+        corpus_dir, model_path, _ = cli_run
+        copied = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copied)
+        (copied / "audio" / corrupt).write_bytes(b"not a wav file")
+        path = self._overflowing_model(model_path, tmp_path / "huge.json")
+        before = threading.active_count()
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(path), "--manifest", str(copied / "manifest.txt"),
+                     "--format", "json", "--out", str(out)]) == 5
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert "single precision" in err.splitlines()[-1] and "Traceback" not in err
         assert not out.exists()
 
 
@@ -567,7 +609,7 @@ def _sample_documents():
     score = _sample_score_report()
     evals = scoring.EvalGrid([_sample_eval_report("all"), _sample_eval_report("sex:m")])
     trace = nn.TrainTrace(train_loss=[0.5], train_accuracy=[1.0],
-                          test_loss=[float("nan")], test_accuracy=[float("nan")])
+                          test_loss=[0.75], test_accuracy=[0.5])
     grid = scoring.ScoreGrid(reports=[score], expert_correlation=0.5, skipped_sessions=[("P", 5)])
     return [json.loads(scoring.to_json(r)) for r in (score, evals.reports[0], evals, trace, grid)]
 
@@ -600,6 +642,11 @@ def _report_exit_code(report_dir, doc, fmt):
     return main(["report", "--in", str(path), "--format", fmt, "--out", str(report_dir / "out")])
 
 
+# a valid eval_report document; its 0.75 is replaced by numbers that are not finite
+_EVAL_DOC = ('{"kind": "eval_report", "cohort": "all", "n_train": 4, "n_test": 1, "train_accuracy": 0.75,'
+             ' "test_accuracy": 1.0, "train_per_class": {"0": 0.5, "1": 1.0}, "test_per_class": {"0": null, "1": 1.0}}')
+
+
 class TestReportCommand:
     def test_rerenders_json_document(self, cli_run, tmp_path):
         corpus_dir, model_path, _ = cli_run
@@ -613,6 +660,12 @@ class TestReportCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("patient_id,session_index")
         assert len(lines) == 1 + 2
+
+    def test_finite_eval_document_renders(self, tmp_path):
+        doc = tmp_path / "eval.json"
+        doc.write_text(_EVAL_DOC)
+        assert main(["report", "--in", str(doc), "--format", "json", "--out", str(tmp_path / "out.json")]) == 0
+        assert json.loads((tmp_path / "out.json").read_text()) == json.loads(_EVAL_DOC)
 
     def test_not_a_report_exits_four(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -629,8 +682,9 @@ class TestReportCommand:
         '{"kind": "score_grid", "reports": [], "expert_correlation": null,'
         ' "skipped_sessions": [["\\ud800", 3]]}',
         "[" * 100000,
+        *(_EVAL_DOC.replace("0.75", number) for number in ("NaN", "Infinity", "-Infinity", "1e999")),
     ], ids=["list", "unknown_field", "no_reports", "empty_grid", "list_kind", "mistyped_field",
-            "lone_surrogate", "deep_nesting"])
+            "lone_surrogate", "deep_nesting", "nan", "infinity", "minus_infinity", "overflowing_float"])
     def test_malformed_document_exits_four(self, tmp_path, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -719,7 +773,7 @@ class TestConfigFile:
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--config", str(tmp_path / "nope.json")]) == 3
 
-    def test_malformed_config_exits_two(self, tmp_path):
+    def test_malformed_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["synth", "--out", str(tmp_path / "x"),
@@ -727,3 +781,27 @@ class TestConfigFile:
         bad.write_bytes(b'{"epochs": 1, "seed": "\xff"}')  # not UTF-8
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--config", str(bad)]) == 2
+        capsys.readouterr()
+        for command, key, value in [("train", "trace-out", None),  # once passed on as the path "None"
+                                    ("train", "trace-out", {"path": "t.csv"}),
+                                    ("train", "cohort", ["all", "sex:m"]),  # train takes one cohort
+                                    ("eval", "cohort", [["all"]]),
+                                    ("eval", "cohort", ["all", None])]:
+            bad.write_text(json.dumps({"epochs": 1, key: value}))
+            assert main([command, "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config {bad}: key '{key}' takes") and err.count("\n") == 1
+
+    def test_config_list_repeats_a_repeatable_flag(self, cli_run, tmp_path):
+        corpus_dir, model_path, _ = cli_run
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"cohort": ["all", "individual:P001"], "format": "csv"}))
+        out = tmp_path / "grid.csv"
+        assert main(["eval", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert [row["cohort"] for row in csv.DictReader(out.read_text().splitlines())] == ["all", "individual:P001"]
+        # the flags that take a list are the ones the parser declares repeatable
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        appended = {name: {a.option_strings[0][2:] for a in sub._actions if isinstance(a, argparse._AppendAction)}
+                    for name, sub in commands.items()}
+        assert {name: flags for name, flags in appended.items() if flags} == cli._REPEATABLE

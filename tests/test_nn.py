@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -337,52 +338,108 @@ class TestAdam:
                 assert np.array_equal(actual, wanted)
 
 
-class TestForwardStream:
+def _planned_job(k, fails):
+    if fails:
+        raise KeyError(f"job {k}")
+    return k
+
+
+class TestOverlap:
     def test_same_results_in_order_through_the_module_global(self, monkeypatch):
         model = _random_model(TINY, 3, jitter=0.3)
         rng = np.random.default_rng(4)
         batches = [rng.normal(0.0, 1.0, (k, 4, 2)) for k in (5, 1, 7, 3)]
         forward, calls = nn.forward_batch, []
-        monkeypatch.setattr(nn, "forward_batch", lambda m, X: calls.append(len(X)) or forward(m, X))
+        monkeypatch.setattr(nn, "forward_batch",
+                            lambda m, X: calls.append((len(X), threading.current_thread())) or forward(m, X))
         before = threading.active_count()
-        results = list(nn.forward_stream(model, iter(batches)))
+        results = list(nn.overlap(partial(nn.forward_batch, model, X) for X in batches))
         assert threading.active_count() == before
-        assert calls == [5, 1, 7, 3]
+        assert [n for n, _ in calls] == [5, 1, 7, 3]
+        assert threading.main_thread() not in {thread for _, thread in calls}  # each ran on the worker
         assert all(np.array_equal(p, forward(model, X)) for p, X in zip(results, batches, strict=True))
-        assert list(nn.forward_stream(model, iter([]))) == []
+        assert list(nn.overlap(iter([]))) == []
 
-    def test_producer_exception_wins_over_the_forward_in_flight(self):
+    def test_the_next_job_is_drawn_while_a_job_runs(self):
+        drawn = threading.Event()
+
+        def jobs():
+            yield partial(drawn.wait, 10)  # True only if the next draw happens while it waits
+            drawn.set()
+            yield partial(str, "second")
+
+        assert list(nn.overlap(jobs())) == [True, "second"]
+
+    def test_the_job_in_flight_is_yielded_before_the_draws_exception(self):
         model = _random_model(TINY, 3)
         good = np.zeros((2, 4, 2))
 
-        def batches():
-            yield good
-            yield np.zeros((2, 4, 3))  # its forward raises ShapeMismatch while the third item is drawn
-            raise ValueError("third item")
+        def jobs():
+            yield partial(nn.forward_batch, model, good)
+            raise ValueError("second draw")
 
         seen = []
         before = threading.active_count()
-        with pytest.raises(ValueError, match="third item"):
-            for p in nn.forward_stream(model, batches()):
+        with pytest.raises(ValueError, match="second draw"):
+            for p in nn.overlap(jobs()):
                 seen.append(p)
         assert threading.active_count() == before
         assert len(seen) == 1 and np.array_equal(seen[0], nn.forward_batch(model, good))
 
-    def test_forward_exception_comes_out_at_its_result(self):
+    def test_a_failing_job_in_flight_raises_its_own_exception_before_the_draws(self):
+        model = _random_model(TINY, 3)
+        good = np.zeros((2, 4, 2))
+
+        def jobs():
+            yield partial(nn.forward_batch, model, good)
+            yield partial(nn.forward_batch, model, np.zeros((2, 4, 3)))  # raises ShapeMismatch
+            raise ValueError("third draw")
+
+        seen = []
+        before = threading.active_count()
+        with pytest.raises(ShapeMismatch):
+            for p in nn.overlap(jobs()):
+                seen.append(p)
+        assert threading.active_count() == before
+        assert len(seen) == 1
+
+    def test_a_jobs_exception_comes_out_at_its_result(self):
         model = _random_model(TINY, 3)
         good, bad = np.zeros((2, 4, 2)), np.zeros((2, 4, 3))
         seen = []
         before = threading.active_count()
         with pytest.raises(ShapeMismatch):
-            for p in nn.forward_stream(model, iter([good, bad, good])):
+            for p in nn.overlap(partial(nn.forward_batch, model, X) for X in (good, bad, good)):
                 seen.append(p)
         assert threading.active_count() == before
         assert len(seen) == 1
 
-    def test_abandoned_stream_leaves_no_thread(self):
+    @settings(max_examples=60, deadline=None)
+    @given(plan=st.lists(st.sampled_from(["ok", "job fails", "draw fails"]), max_size=6))
+    def test_results_and_exceptions_are_those_of_running_in_line(self, plan):
+        def jobs():
+            for k, step in enumerate(plan):
+                if step == "draw fails":
+                    raise ValueError(f"draw {k}")
+                yield partial(_planned_job, k, step == "job fails")
+
+        def outcome(results):
+            seen = []
+            try:
+                for result in results:
+                    seen.append(result)
+            except (KeyError, ValueError) as exc:
+                return seen, repr(exc)
+            return seen, None
+
+        before = threading.active_count()
+        assert outcome(nn.overlap(jobs())) == outcome(job() for job in jobs())
+        assert threading.active_count() == before
+
+    def test_abandoned_overlap_leaves_no_thread(self):
         model = _random_model(TINY, 3)
         before = threading.active_count()
-        stream = nn.forward_stream(model, (np.zeros((1, 4, 2)) for _ in range(5)))
+        stream = nn.overlap(partial(nn.forward_batch, model, np.zeros((1, 4, 2))) for _ in range(5))
         next(stream)
         stream.close()
         assert threading.active_count() == before

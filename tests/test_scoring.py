@@ -264,12 +264,12 @@ RENDERED = {
     ),
     "train_trace": (
         '{"kind": "train_trace", "train_loss": [0.6931471805599453, 0.12345678901234568],'
-        ' "train_accuracy": [0.5, 1.0], "test_loss": [NaN, 0.2], "test_accuracy": [NaN, 0.975]}',
+        ' "train_accuracy": [0.5, 1.0], "test_loss": [0.75, 0.2], "test_accuracy": [0.5, 0.975]}',
         "epoch,train_loss,train_accuracy,test_loss,test_accuracy\n"
-        "1,0.6931471805599453,0.5,nan,nan\n"
+        "1,0.6931471805599453,0.5,0.75,0.5\n"
         "2,0.12345678901234568,1.0,0.2,0.975\n",
         " epoch   train_loss  train_accuracy    test_loss  test_accuracy\n"
-        "     1      0.69315          0.5000          nan            nan\n"
+        "     1      0.69315          0.5000      0.75000         0.5000\n"
         "     2      0.12346          1.0000      0.20000         0.9750",
     ),
     "score_grid": (
