@@ -9,7 +9,8 @@ value or a fragment score in its last float32 bits (see the README).
 
 A subcommand may take --config <file>: a json object whose keys are the
 subcommand's flag names without the leading dashes ({"epochs": 10,
-"standardize": true}). Explicit flags win over config values.
+"standardize": true}). Explicit flags win over config values. A second
+--config exits 2.
 """
 
 import argparse
@@ -302,22 +303,24 @@ def _config_to_args(cfg, command):
 
 
 def _expand_config(argv):
-    """Splice config-file values in ahead of explicit flags (flags win)."""
+    """Splice one config file's values in ahead of explicit flags (flags win); a second
+    --config is refused."""
     argv = list(argv)
-    at = path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                return argv, EXIT_USAGE
-            at, path = i, argv[i + 1]
-            del argv[i : i + 2]
-            break
-        if token.startswith("--config="):
-            at, path = i, token.split("=", 1)[1]
-            del argv[i]
-            break
-    if at is None:
+    at = [i for i, token in enumerate(argv) if token == "--config" or token.startswith("--config=")]
+    if not at:
         return argv, None
+    if len(at) > 1:
+        second = " ".join(argv[at[1] : at[1] + 2]) if argv[at[1]] == "--config" else argv[at[1]]
+        print(f"error: only one --config may be given, not also {second}", file=sys.stderr)
+        return argv, EXIT_USAGE
+    if argv[at[0]] == "--config":
+        if at[0] + 1 >= len(argv):
+            print("error: --config needs a file", file=sys.stderr)
+            return argv, EXIT_USAGE
+        path = argv.pop(at[0] + 1)
+    else:
+        path = argv[at[0]].split("=", 1)[1]
+    del argv[at[0]]
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -97,10 +97,12 @@ class Fragment:
             raise ValueError("fragment contains non-finite values")
 
 
-def _window(cfg):
-    if cfg.window == WINDOW_HANN:
-        return np.hanning(cfg.frame_len)
-    return np.ones(cfg.frame_len)
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+_WINDOWS = {WINDOW_HANN: _read_only(np.hanning(FRAME_LEN)), WINDOW_RECT: _read_only(np.ones(FRAME_LEN))}  # built once
 
 
 def stft_magnitude(buf: SampleBuffer, cfg: DspConfig) -> Spectrogram:
@@ -113,7 +115,7 @@ def stft_magnitude(buf: SampleBuffer, cfg: DspConfig) -> Spectrogram:
     if x.size < cfg.frame_len:
         raise TooShort(f"signal of {x.size} samples is shorter than one {cfg.frame_len}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
-    mags = np.abs(np.fft.rfft(frames * _window(cfg), axis=1))
+    mags = np.abs(np.fft.rfft(frames * _WINDOWS[cfg.window], axis=1))
     return Spectrogram(mags)
 
 

@@ -11,11 +11,17 @@ step's gradient is computed in single precision over the float32 rounding of
 the parameters and widened to float64 for the norm, the clip and Adam
 (mixed precision, Micikevicius et al., arXiv:1710.03740). The public
 backward runs in double precision. Every forward that reports probabilities
-(forward_batch: training metrics, eval, score) runs in single precision over
+(training metrics, eval, score) runs in single precision over
 the float32 rounding of the parameters, which is exactly what a model file
 stores, so a trained model and its reloaded file give the same probabilities
 bit for bit. train casts its two splits to float32 once and runs each
 epoch's metrics through overlap, beside the next epoch's steps.
+
+The LSTM routines are time-major, (steps, batch, .), so a step works on
+contiguous blocks; forward_batch transposes each chunk inside its float32
+cast, and train keeps its float32 splits as time-major blocks. The logistic
+sigmoid is 0.5 tanh(z / 2) + 0.5, so one np.tanh activates a step's four
+gates. Adam runs in Kingma & Ba's efficient form (adam_step).
 
 All trainable parameters live in one flat float64 vector. Layout, in order:
 
@@ -36,14 +42,14 @@ probability (1 = pre-operation reference class).
 import hashlib
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .dsp import DspConfig, FRAGMENT_FRAMES, N_BINS
 from .errors import CorruptFile, DegenerateInput, EmptySplit, ShapeMismatch, VersionMismatch
@@ -54,7 +60,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
 FORWARD_CHUNK = 512  # fragments per network pass inside forward_batch; bounds the LSTM state
 # arrays of train's metrics and of an eval or score session over 512 fragments, and the
-# float64 rows train converts to float32 at a time
+# float64 rows train converts to float32 at a time, the rows of each block of its splits
 ADAM_BLOCK = 16384  # elements per adam_step pass: a block of each operand and work vector stays in cache
 MODEL_FORMAT = "syllascore-model"
 MODEL_FORMAT_VERSION = 1
@@ -100,22 +106,24 @@ class Architecture:
             ("dense3.b", (self.output_units,)),
         ]
 
-    @property
+    @cached_property
+    def blocks(self):
+        """(name, shape, span) of every parameter block in the flat vector, computed once."""
+        blocks, pos = [], 0
+        for name, shape in self.layout():
+            blocks.append((name, shape, slice(pos, pos := pos + math.prod(shape))))
+        return blocks
+
+    @cached_property
     def param_count(self):
-        return sum(int(np.prod(shape)) for _, shape in self.layout())
+        return self.blocks[-1][2].stop
 
 
 def _views(arch, flat):
     """Named array views into a flat parameter (or gradient) vector."""
-    out = {}
-    pos = 0
-    for name, shape in arch.layout():
-        size = int(np.prod(shape))
-        out[name] = flat[pos : pos + size].reshape(shape)
-        pos += size
-    if pos != flat.size:
-        raise ShapeMismatch(f"parameter vector has {flat.size} entries, layout needs {pos}")
-    return out
+    if flat.size != arch.param_count:
+        raise ShapeMismatch(f"parameter vector has {flat.size} entries, layout needs {arch.param_count}")
+    return {name: flat[span].reshape(shape) for name, shape, span in arch.blocks}
 
 
 def init_params(arch, rng):
@@ -142,53 +150,70 @@ def _hard_sigmoid_grad(x):
     return np.where((x > -2.5) & (x < 2.5), x.dtype.type(0.2), 0)
 
 
+def _sigmoid(z):
+    """Logistic sigmoid in its tanh form, 0.5 tanh(z / 2) + 0.5, in z's dtype."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
 def _lstm_forward(x_seq, W, U, b):
-    """Run one LSTM layer over (B, T, D) inputs; returns the (B, T, H) states and
-    the cache (gates, cells): activated i/f/g/o gates (B, T, 4H), cell states (B, T, H)."""
-    B, T, D = x_seq.shape
+    """Run one LSTM layer over time-major (T, B, D) inputs; returns the (T, B, H) states and
+    the cache (gates, cells): activated i/f/g/o gates (T, B, 4H), cell states (T, B, H).
+    One np.tanh activates a step's gates: the sigmoid gates' pre-activations are halved
+    (exactly), so scale * tanh + 1 - scale is _sigmoid on i, f, o and tanh on g."""
+    T, B, D = x_seq.shape
     H = U.shape[0]
-    gates = (x_seq.reshape(B * T, D) @ W).reshape(B, T, 4 * H)  # every step's input projection
-    states, cells = np.empty((B, T, H), x_seq.dtype), np.empty((B, T, H), x_seq.dtype)
-    h = c = np.zeros((B, H), x_seq.dtype)
+    scale = np.where(np.arange(4 * H) // H == 2, 1, 0.5).astype(x_seq.dtype)  # 1 on g only
+    shift, U = 1 - scale, U * scale
+    gates = (x_seq.reshape(T * B, D) @ W).reshape(T, B, 4 * H)  # every step's input projection
+    gates += b
+    gates *= scale
+    states, cells = np.empty((T, B, H), x_seq.dtype), np.empty((T, B, H), x_seq.dtype)
     for t in range(T):
-        z = gates[:, t]
-        z += h @ U
-        z += b
+        z = gates[t]
+        if t:
+            z += states[t - 1] @ U
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
         i, f, g, o = (z[:, k * H : (k + 1) * H] for k in range(4))
-        expit(z[:, : 2 * H], out=z[:, : 2 * H])  # i and f
-        np.tanh(g, out=g)
-        expit(o, out=o)
-        c = f * c + i * g
-        cells[:, t] = c
-        h = o * np.tanh(c)
-        states[:, t] = h
+        c = np.multiply(i, g, out=cells[t])
+        if t:
+            c += f * cells[t - 1]
+        np.tanh(c, out=states[t])
+        states[t] *= o
     return states, (gates, cells)
 
 
 def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
-    """Backpropagate through time; accumulates into dW/dU/db and returns the (B, T, 4H)
-    gradient dz at the gate pre-activations. The layer's input gradient is dz @ W.T."""
+    """Backpropagate through time over time-major arrays; accumulates into dW/dU/db and
+    returns the (T, B, 4H) gradient dz at the gate pre-activations (the layer's input
+    gradient is dz @ W.T). dz = [dc g i(1-i), dc c_prev f(1-f), dc i (1-g^2), dh tanh(c)
+    o(1-o)]: every factor but dc and dh is computed once, so a step's dz is two products."""
     gates, cells = cache
-    B, T, D = x_seq.shape
+    T, B, D = x_seq.shape
     H = U.shape[0]
+    a = gates.reshape(T, B, 4, H)
+    tc = np.tanh(cells)
+    coef = (1 - a) * (a + (np.arange(4) == 2)[:, None])  # i(1-i), f(1-f), (1-g)(1+g), o(1-o)
+    coef[:, :, 0] *= a[:, :, 2]
+    coef[1:, :, 1] *= cells[:-1]
+    coef[0, :, 1] = 0  # c_prev is 0 at the first step
+    coef[:, :, 2] *= a[:, :, 0]
+    coef[:, :, 3] *= tc
+    o_dtanh = a[:, :, 3] * (1 - tc * tc)  # dc picks up dh o (1 - tanh(c)^2)
     dz = np.empty_like(gates)
-    dh_rec = dc = np.zeros((B, H), gates.dtype)
+    dz4 = dz.reshape(T, B, 4, H)
+    dh, dc = d_states[T - 1], np.zeros((B, H), gates.dtype)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = (gates[:, t, k * H : (k + 1) * H] for k in range(4))
-        c_prev = cells[:, t - 1] if t else 0.0
-        tc = np.tanh(cells[:, t])
-        dh = d_states[:, t] + dh_rec
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz[:, t, :H] = (dc * g) * i * (1.0 - i)
-        dz[:, t, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
-        dz[:, t, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
-        dz[:, t, 3 * H :] = do * o * (1.0 - o)
-        dh_rec = dz[:, t] @ U.T
-        dc = dc * f
-    dW += x_seq.reshape(B * T, D).T @ dz.reshape(B * T, 4 * H)
-    dU += states[:, :-1].reshape(B * (T - 1), H).T @ dz[:, 1:].reshape(B * (T - 1), 4 * H)
-    db += dz.sum(axis=(0, 1))
+        dc += dh * o_dtanh[t]
+        np.multiply(dc[:, None], coef[t, :, :3], out=dz4[t, :, :3])
+        np.multiply(dh, coef[t, :, 3], out=dz4[t, :, 3])
+        if t:
+            dh = d_states[t - 1] + dz[t] @ U.T
+            dc *= a[t, :, 1]
+    dW += x_seq.reshape(T * B, D).T @ dz.reshape(T * B, 4 * H)
+    dU += states[:-1].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
+    db += dz.reshape(T * B, 4 * H).sum(axis=0)
     return dz
 
 
@@ -196,24 +221,22 @@ def _head(views, h_last):
     """The dense stack over LSTM-2's last hidden states: probabilities, plus the
     activations (a1, a2, z3) that backprop reads."""
     a1 = np.tanh(h_last @ views["dense1.W"] + views["dense1.b"])
-    a2 = expit(a1 @ views["dense2.W"] + views["dense2.b"])
+    a2 = _sigmoid(a1 @ views["dense2.W"] + views["dense2.b"])
     z3 = (a2 @ views["dense3.W"] + views["dense3.b"])[:, 0]
     return hard_sigmoid(z3), (a1, a2, z3)
 
 
 def _forward_full(views, X):
-    """Probability head over a (B, steps, input_dim) batch, plus what backprop reads."""
+    """Probability head over a time-major (steps, B, input_dim) batch, plus what backprop reads."""
     states1, cache1 = _lstm_forward(X, views["lstm1.W"], views["lstm1.U"], views["lstm1.b"])
     states2, cache2 = _lstm_forward(states1, views["lstm2.W"], views["lstm2.U"], views["lstm2.b"])
-    p, (a1, a2, z3) = _head(views, states2[:, -1])
+    p, (a1, a2, z3) = _head(views, states2[-1])
     return p, (states1, cache1, states2, cache2, a1, a2, z3)
 
 
-def _check_batch(arch, X, keep_float32=False):
-    """X as a C-contiguous float64 stack of (steps, input_dim) fragments; with
-    keep_float32, a float32 X stays float32."""
-    X = np.asarray(X)
-    X = np.ascontiguousarray(X, np.float32 if keep_float32 and X.dtype == np.float32 else np.float64)
+def _check_batch(arch, X, dtype=None):
+    """X as an array (of dtype, if given) stacking (steps, input_dim) fragments."""
+    X = np.asarray(X, dtype)
     if X.ndim != 3 or X.shape[1:] != (arch.input_steps, arch.input_dim):
         raise ShapeMismatch(
             f"expected fragments of shape ({arch.input_steps}, {arch.input_dim}), got {X.shape[1:]}"
@@ -254,25 +277,33 @@ class Model:
         return (X - self.input_mean) / self.input_std
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught by the explicit check below
 def forward_batch(model, X):
     """Vector of probabilities for a (N, steps, input_dim) fragment stack.
 
     The network runs in float32 over the float32 rounding of the parameters,
     the values a model file stores; the probabilities come back as float64.
-    A float32 X, or float32 parameters, are used as they are, not copied.
-    Only each layer's states are kept, so a chunk's input and LSTM-1's cache
-    are freed before LSTM-2 runs. Raises DegenerateInput if any probability
-    is not finite.
+    Float32 parameters are used as they are, not copied. Each chunk of
+    FORWARD_CHUNK fragments is transposed to time-major inside its float32
+    cast. Raises DegenerateInput if any probability is not finite.
     """
-    X = _check_batch(model.arch, X, keep_float32=True)
+    X = _check_batch(model.arch, X)
+    chunks = (X[start : start + FORWARD_CHUNK].transpose(1, 0, 2).astype(np.float32, order="C")
+              for start in range(0, X.shape[0], FORWARD_CHUNK))
+    return _forward_blocks(model, chunks)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught by the explicit check below
+def _forward_blocks(model, blocks):
+    """Probabilities of the fragments of time-major float32 (steps, rows, input_dim)
+    blocks, one network pass each, read as they are. Only each layer's states are kept,
+    so a block's LSTM-1 cache is freed before LSTM-2 runs."""
     views = _views(model.arch, model.params.astype(np.float32, copy=False))
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], FORWARD_CHUNK):
-        states = X[start : start + FORWARD_CHUNK].astype(np.float32, copy=False)
+    out = [np.empty(0)]  # float64, so the concatenation widens the float32 probabilities
+    for states in blocks:
         for layer in ("lstm1", "lstm2"):
             states = _lstm_forward(states, views[f"{layer}.W"], views[f"{layer}.U"], views[f"{layer}.b"])[0]
-        out[start : start + FORWARD_CHUNK], _ = _head(views, states[:, -1])
+        out.append(_head(views, states[-1])[0])
+    out = np.concatenate(out)
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
         raise DegenerateInput(f"{bad} of {out.size} probabilities are not finite: "
@@ -325,13 +356,13 @@ def bce_loss(p, y):
 def _grad(arch, params, X, y):
     """Gradient of the mean batch loss w.r.t. every parameter, plus the loss.
 
-    Runs in the dtype of params and X (float32 in train, float64 in
-    backward), which the labels y must share. The backward always runs, so a
-    step costs the same whatever the data: a batch in which no row reaches
-    the loss (each has |z3| >= 2.5 or a clamped p) gets an exactly zero
-    gradient from it.
+    X is a time-major (steps, B, input_dim) batch. Runs in the dtype of params
+    and X (float32 in train, float64 in backward), which the labels y must
+    share. The backward always runs, so a step costs the same whatever the
+    data: a batch in which no row reaches the loss (each has |z3| >= 2.5 or a
+    clamped p) gets an exactly zero gradient from it.
     """
-    B = X.shape[0]
+    B = X.shape[1]
     views = _views(arch, params)
     p, (states1, cache1, states2, cache2, a1, a2, z3) = _forward_full(views, X)
     loss = float(np.mean(bce_loss(p, y)))
@@ -352,15 +383,15 @@ def _grad(arch, params, X, y):
     g["dense2.b"] += dz2.sum(axis=0)
     da1 = dz2 @ views["dense2.W"].T
     dz1 = da1 * (1.0 - a1 * a1)
-    g["dense1.W"] += states2[:, -1].T @ dz1
+    g["dense1.W"] += states2[-1].T @ dz1
     g["dense1.b"] += dz1.sum(axis=0)
     dh_last = dz1 @ views["dense1.W"].T
 
-    d_states2 = np.zeros((B, arch.input_steps, arch.lstm2_units), params.dtype)
-    d_states2[:, -1] = dh_last
+    d_states2 = np.zeros((arch.input_steps, B, arch.lstm2_units), params.dtype)
+    d_states2[-1] = dh_last
     dz2 = _lstm_backward(states1, states2, cache2, views["lstm2.U"],
                          d_states2, g["lstm2.W"], g["lstm2.U"], g["lstm2.b"])
-    d_states1 = (dz2.reshape(B * arch.input_steps, -1) @ views["lstm2.W"].T).reshape(states1.shape)
+    d_states1 = (dz2.reshape(arch.input_steps * B, -1) @ views["lstm2.W"].T).reshape(states1.shape)
     _lstm_backward(X, states1, cache1, views["lstm1.U"],
                    d_states1, g["lstm1.W"], g["lstm1.U"], g["lstm1.b"])
     return grad, loss
@@ -368,18 +399,19 @@ def _grad(arch, params, X, y):
 
 def backward(model, X, y):
     """Gradient of the mean binary cross-entropy over a fragment batch."""
-    X = _check_batch(model.arch, X)
+    X = _check_batch(model.arch, X, np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise ShapeMismatch("labels must be one per fragment")
     if X.shape[0] == 0:
         raise ShapeMismatch("batch must be non-empty")
-    return _grad(model.arch, model.params, X, y)
+    return _grad(model.arch, model.params, np.ascontiguousarray(X.transpose(1, 0, 2)), y)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """Step counter and moments, kept divided by (1 - beta1) and (1 - beta2):
+    m <- beta1 m + g and v <- beta2 v + g^2."""
 
     m: np.ndarray
     v: np.ndarray
@@ -389,32 +421,31 @@ class AdamState:
 def adam_step(params, grads, state, lr=1e-3):
     """One Adam update with bias correction; mutates params and state.
 
-    params -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
-    and v_hat = v / (1 - beta2^t), computed in place, ADAM_BLOCK elements at a
-    time, in two block-sized work vectors: each operation takes the same
-    operands in the same order as that formula. Vectors are flat.
+    Kingma & Ba's efficient form (arXiv:1412.6980, section 2): params -= lr_t m /
+    (sqrt(v) + eps_t), lr_t = lr sqrt(1 - beta2^t) / (1 - beta1^t), eps_t = eps
+    sqrt(1 - beta2^t); over AdamState's scaled moments, lr_t takes a factor
+    (1 - beta1) / sqrt(1 - beta2) and eps_t 1 / sqrt(1 - beta2). In place,
+    ADAM_BLOCK elements at a time. Vectors are flat.
     """
     state.t += 1
-    m_scale, v_scale = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
-    work_a, work_b = np.empty((2, min(ADAM_BLOCK, params.size)), params.dtype)
+    root = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    step = lr * root / (1.0 - ADAM_BETA1**state.t) * (1.0 - ADAM_BETA1) / math.sqrt(1.0 - ADAM_BETA2)
+    eps = ADAM_EPS * root / math.sqrt(1.0 - ADAM_BETA2)
+    work = np.empty(min(ADAM_BLOCK, params.size), params.dtype)
     for start in range(0, params.size, ADAM_BLOCK):
         span = slice(start, start + ADAM_BLOCK)
         p, g, m, v = params[span], grads[span], state.m[span], state.v[span]
-        a, b = work_a[: p.size], work_b[: p.size]
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        a = work[: p.size]
         m *= ADAM_BETA1
-        m += a
-        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-        a *= g
+        m += g
         v *= ADAM_BETA2
+        np.multiply(g, g, out=a)
         v += a
-        np.divide(v, v_scale, out=a)  # v_hat
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(m, m_scale, out=b)  # m_hat
-        b *= lr
-        b /= a
-        p -= b
+        np.sqrt(v, out=a)
+        a += eps
+        np.divide(m, a, out=a)
+        a *= step
+        p -= a
     return params, state
 
 
@@ -456,26 +487,36 @@ def accuracy(p, y):
 
 
 def _epoch_metrics(epoch, snapshot, X_train, y_train, X_test, y_test):
-    """An epoch's trace row, from forward_batch over each split at its parameters;
+    """An epoch's trace row, from _forward_blocks over each split at its parameters;
     a forward that overflows float32 raises DegenerateInput naming the epoch."""
-    try:  # forward_batch refuses non-finite probabilities, so the losses are finite
-        p_train, p_test = forward_batch(snapshot, X_train), forward_batch(snapshot, X_test)
+    try:  # the forward refuses non-finite probabilities, so the losses are finite
+        p_train, p_test = _forward_blocks(snapshot, X_train), _forward_blocks(snapshot, X_test)
     except DegenerateInput as exc:
         raise DegenerateInput(f"training diverged in epoch {epoch}: {exc}") from None
     return (float(bce_loss(p_train, y_train).mean()), accuracy(p_train, y_train),
             float(bce_loss(p_test, y_test).mean()), accuracy(p_test, y_test))
 
 
-def _float32_rows(X, rows, mean=None, std=None):
-    """X's rows as one float32 stack, standardized first in float64 if mean and std
-    are given. FORWARD_CHUNK rows at a time, so no float64 copy of all the rows exists."""
-    out = np.empty((len(rows), *X.shape[1:]), np.float32)
+def _float32_blocks(X, rows, mean=None, std=None):
+    """X's rows as time-major float32 (steps, rows, input_dim) blocks of FORWARD_CHUNK
+    rows, the blocks _forward_blocks reads; standardized first in float64 if mean and
+    std are given. One block at a time, so no float64 copy of all the rows exists."""
+    blocks = []
     for start in range(0, len(rows), FORWARD_CHUNK):
         Z = X[rows[start : start + FORWARD_CHUNK]]
         if mean is not None:
             Z -= mean
             Z /= std
-        out[start : start + FORWARD_CHUNK] = Z
+        blocks.append(Z.transpose(1, 0, 2).astype(np.float32, order="C"))
+    return blocks
+
+
+def _take(blocks, rows):
+    """The given rows of a split's _float32_blocks, in order, as one time-major batch."""
+    out = np.empty((blocks[0].shape[0], len(rows), blocks[0].shape[2]), np.float32)
+    for k, block in enumerate(blocks):
+        hit = np.flatnonzero(rows // FORWARD_CHUNK == k)
+        out[:, hit] = block[:, rows[hit] - k * FORWARD_CHUNK]
     return out
 
 
@@ -492,12 +533,13 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     computed in float32 (see the module docstring). Logs one INFO line per
     epoch: its metrics and how many steps had an exactly zero gradient.
 
-    The splits are cast to float32 once. An epoch's metrics are one job for
-    overlap, forward_batch over each split at a float32 snapshot of that
-    epoch's final parameters, which runs while the next epoch's steps run.
+    The splits are cast to time-major float32 blocks once. An epoch's metrics
+    are one job for overlap, _forward_blocks over each split at a float32
+    snapshot of that epoch's final parameters, which runs while the next
+    epoch's steps run.
     """
     arch = arch or Architecture()
-    X = _check_batch(arch, X)
+    X = _check_batch(arch, X, np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise ShapeMismatch("labels must be one per fragment")
@@ -516,14 +558,14 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
         flat = X[train_idx].reshape(-1, arch.input_dim)
         mean, std = flat.mean(axis=0), np.maximum(flat.std(axis=0), 1e-8)
         del flat
-    X_train, X_test = (_float32_rows(X, rows, mean, std) for rows in (train_idx, test_idx))
+    X_train, X_test = (_float32_blocks(X, rows, mean, std) for rows in (train_idx, test_idx))
     del X  # only the float32 splits stay alive across the epochs
     y_test = y[test_idx]
 
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
-    n_train = X_train.shape[0]
+    n_train = train_idx.size
     starts = range(0, n_train, config.batch_size)
     zero_steps = []  # per epoch; an epoch's steps run before the previous epoch's metrics are read
 
@@ -533,7 +575,7 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
             zero_steps.append(0)
             for step, start in enumerate(starts, start=1):
                 sel = order[start : start + config.batch_size]
-                grad, loss = _grad(arch, params.astype(np.float32), X_train[sel],
+                grad, loss = _grad(arch, params.astype(np.float32), _take(X_train, sel),
                                    y_train[sel].astype(np.float32))
                 grad = grad.astype(np.float64)
                 norm = float(np.linalg.norm(grad))
@@ -560,7 +602,7 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
                     zero_steps[epoch - 1], len(starts))
 
     meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
-            "n_train": int(n_train), "n_test": int(X_test.shape[0]),
+            "n_train": int(n_train), "n_test": int(test_idx.size),
             **{f"final_{name}": values[-1] for name, values in vars(trace).items()}, **(extra_meta or {})}
     model = Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)
     return model, trace

@@ -122,7 +122,9 @@ def session_probabilities(model, manifest, pairs):
     sessions holds (patient_id, session_index, records, counts, p) for each
     session with fragments, in pairs order, where p holds the probabilities
     of its stack and counts[i] how many of them records[i] gave; skipped
-    lists, and logs, the pairs whose session gated away entirely.
+    lists, and logs, the pairs whose session gated away entirely. Each session
+    read is logged at INFO on the calling thread, in pairs order: its
+    recordings, how many gated away, and its fragments.
     """
     skipped = []
     sessions = []
@@ -137,6 +139,8 @@ def session_probabilities(model, manifest, pairs):
                                session_index, patient_id)
                 skipped.append((patient_id, session_index))
                 continue
+            logger.info("session %d of patient %s: %d recordings read, %d gated away, %d fragments",
+                        session_index, patient_id, len(records), counts.count(0), len(X))
             sessions.append((patient_id, session_index, records, counts))
             yield partial(nn.forward_batch, model, model.standardize(X))
 

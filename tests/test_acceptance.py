@@ -276,6 +276,6 @@ def test_single_precision_scores_agree_with_double_precision(accept_run):
                for patient, session in corpus.scoreable_sessions(manifest)]
     worst = 0.0
     for X in map(model.standardize, stacks):
-        exact, _ = nn._forward_full(views, X)
+        exact, _ = nn._forward_full(views, X.transpose(1, 0, 2))  # the internal forward is time-major
         worst = max(worst, float(np.max(np.abs(nn.forward_batch(model, X) - exact))))
     assert worst <= F32_AGREEMENT, f"max |float32 - float64| {worst:.2e}"

@@ -27,6 +27,22 @@ def _silence_files(corpus_dir, session_index):
         write_wav(wav, SampleBuffer(np.zeros(8000), 16000))
 
 
+def _session_log(caplog):
+    """scoring's INFO lines, each with the name of the thread that logged it."""
+    return [(r.getMessage(), r.threadName) for r in caplog.records
+            if r.name == "syllascore.scoring" and r.levelname == "INFO"]
+
+
+def _expected_session_log(corpus_dir, model_path, pairs):
+    manifest, model = load_manifest(corpus_dir / "manifest.txt"), nn.load_model(model_path)
+    lines = []
+    for patient, session in pairs:
+        X, records, counts = corpus.collect_session_fragments(manifest, patient, session, model.dsp_config)
+        lines.append((f"session {session} of patient {patient}: {len(records)} recordings read, "
+                      f"{counts.count(0)} gated away, {len(X)} fragments", "MainThread"))
+    return lines
+
+
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """One synth + train + trajectory run shared by the read-only CLI tests."""
@@ -305,6 +321,13 @@ class TestEvalCommand:
         # an empty cohort exits 5 before any audio is read
         assert run_eval(["all", "individual:P999"], "json", tmp_path / "none.json") == (5, 0)
 
+    def test_verbose_logs_each_session_in_order_on_the_main_thread(self, cli_run, tmp_path, caplog):
+        corpus_dir, model_path, _ = cli_run
+        with caplog.at_level("INFO", logger="syllascore.scoring"):
+            assert main(["-v", "eval", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
+                         "--out", str(tmp_path / "eval.txt")]) == 0
+        assert _session_log(caplog) == _expected_session_log(corpus_dir, model_path, [("P001", 1), ("P001", 2)])
+
     def test_missing_model_exits_three(self, cli_run):
         corpus_dir, _, _ = cli_run
         code = main(["eval", "--model", str(corpus_dir / "nope.json"),
@@ -541,6 +564,18 @@ class TestScoreSessions:
         assert [r.n_syllables for r in grid.reports] == [4, 5]
         pairs = [(r.syllable_scores[s], marks[s]) for r in grid.reports for s in sorted(r.syllable_scores)]
         assert grid.expert_correlation == pytest.approx(scoring.pearson(*zip(*pairs)), rel=1e-12)
+
+    def test_verbose_logs_each_session_in_order_on_the_main_thread(self, cli_run, tmp_path, caplog):
+        corpus_dir, model_path, _ = cli_run
+        copied = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copied)
+        write_wav(copied / "audio" / "P001_4_s02.wav", SampleBuffer(np.zeros(8000), 16000))  # gates away
+        with caplog.at_level("INFO", logger="syllascore.scoring"):
+            assert main(["-v", "score", "--model", str(model_path), "--manifest", str(copied / "manifest.txt"),
+                         "--out", str(tmp_path / "scores.txt")]) == 0
+        lines = _expected_session_log(copied, model_path, [("P001", 3), ("P001", 4)])
+        assert _session_log(caplog) == lines
+        assert ", 1 gated away, " in lines[1][0]
 
     def test_fragment_scores_are_each_sessions_forward(self, tmp_path, caplog):
         """Through the overlapped forwards, every fragment score is the forward of its own session's
@@ -791,6 +826,15 @@ class TestConfigFile:
             assert main([command, "--config", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: config {bad}: key '{key}' takes") and err.count("\n") == 1
+        first, second = tmp_path / "a.json", tmp_path / "b.json"  # a later config was once ignored
+        first.write_text("{}")
+        second.write_text(json.dumps({"patients": 3}))
+        for spelling in ([f"--config={second}"], ["--config", str(second)]):
+            assert main(["synth", "--out", str(tmp_path / "c"), "--config", str(first), *spelling]) == 2
+            assert capsys.readouterr().err == f"error: only one --config may be given, not also {' '.join(spelling)}\n"
+            assert not (tmp_path / "c").exists()
+        assert main(["synth", "--out", str(tmp_path / "c"), "--config"]) == 2
+        assert capsys.readouterr().err == "error: --config needs a file\n"
 
     def test_config_list_repeats_a_repeatable_flag(self, cli_run, tmp_path):
         corpus_dir, model_path, _ = cli_run

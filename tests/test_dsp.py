@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from syllascore import dsp
 from syllascore.audio import SampleBuffer
 from syllascore.dsp import (DspConfig, Spectrogram, gate_silence, log_compress,
                             pipeline, slice_fragments, stft_magnitude)
@@ -82,6 +83,13 @@ class TestStft:
         spec = stft_magnitude(_buf(x), DspConfig())
         expected = np.abs(np.fft.rfft(x * np.hanning(1024)))
         np.testing.assert_array_equal(spec.frames[0], expected)
+
+    def test_windows_are_built_once_and_read_only(self):
+        assert np.array_equal(dsp._WINDOWS[dsp.WINDOW_HANN], np.hanning(dsp.FRAME_LEN))
+        assert np.array_equal(dsp._WINDOWS[dsp.WINDOW_RECT], np.ones(dsp.FRAME_LEN))
+        for window in dsp._WINDOWS.values():
+            with pytest.raises(ValueError, match="read-only"):
+                window[0] = 0.5
 
 
 class TestGate:

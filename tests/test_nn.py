@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from syllascore import corpus, dsp, nn, synth
 from syllascore.audio import SampleBuffer
@@ -28,14 +29,14 @@ def _random_model(arch, seed, jitter=0.0):
 
 
 # |forward_batch - float64 forward| over the same parameters, the bench's
-# reference tolerance. Measured: 5.7e-8 on random inputs; on the acceptance
-# corpus 1.4e-6 for its model and 1.1e-7 for a --standardize one.
+# reference tolerance. Measured: 4.1e-8 on random inputs; on the acceptance
+# corpus 7.5e-7 for its model and 1.9e-7 for a --standardize one.
 F32_AGREEMENT = 1e-5
 
 
 def _loss_of(arch, params, X, y):
     """The float64 loss that _grad differentiates (forward_batch runs in float32)."""
-    p, _ = nn._forward_full(nn._views(arch, params), X)
+    p, _ = nn._forward_full(nn._views(arch, params), X.transpose(1, 0, 2))
     return float(np.mean([nn.bce_loss(pi, yi) for pi, yi in zip(p, y)]))
 
 
@@ -160,13 +161,40 @@ class TestForward:
             nn.forward_batch(model, np.zeros((3, 4, 3)))
 
 
+class TestSigmoid:
+    def test_tanh_form_is_the_logistic_sigmoid(self):
+        # measured: 2.2e-16 in float64, 1.19e-7 (one float32 step near 1) in float32
+        x = np.linspace(-40.0, 40.0, 200_001)
+        assert np.max(np.abs(nn._sigmoid(x) - expit(x))) <= 2.3e-16
+        x32 = x.astype(np.float32)
+        assert nn._sigmoid(x32).dtype == np.float32
+        assert np.max(np.abs(nn._sigmoid(x32).astype(np.float64) - expit(x32))) <= 1.2e-7
+
+    def test_lstm_gates_are_the_sigmoid_and_tanh_of_their_preactivations(self):
+        # halving the sigmoid gates' pre-activations before the one tanh is exact
+        rng = np.random.default_rng(23)
+        T, B, D, H = 3, 5, 4, 2
+        X, W, U, b = (rng.normal(0.0, 2.0, shape).astype(np.float32)
+                      for shape in ((T, B, D), (D, 4 * H), (H, 4 * H), (4 * H,)))
+        states, (gates, cells) = nn._lstm_forward(X, W, U, b)
+        h = c = np.zeros((B, H), np.float32)
+        for t in range(T):
+            z = X[t] @ W + b + h @ U
+            act = np.concatenate([nn._sigmoid(z[:, : 2 * H]), np.tanh(z[:, 2 * H : 3 * H]),
+                                  nn._sigmoid(z[:, 3 * H :])], axis=1)
+            i, f, g, o = np.split(act, 4, axis=1)
+            c = i * g + f * c
+            h = np.tanh(c) * o
+            assert np.array_equal(gates[t], act) and np.array_equal(cells[t], c) and np.array_equal(states[t], h)
+
+
 class TestSinglePrecisionForward:
     def test_agrees_with_the_float64_forward_on_random_inputs(self):
         arch = nn.Architecture()
         rng = np.random.default_rng(15)
         params = nn.init_params(arch, rng) + rng.normal(0.0, 0.05, arch.param_count)
         X = rng.normal(0.0, 1.0, (64, arch.input_steps, arch.input_dim))
-        exact, _ = nn._forward_full(nn._views(arch, params), X)
+        exact, _ = nn._forward_full(nn._views(arch, params), X.transpose(1, 0, 2))
         assert np.max(np.abs(nn.forward_batch(nn.Model(arch, params), X) - exact)) <= F32_AGREEMENT
 
     def test_lstm_layer_keeps_float32(self):
@@ -174,7 +202,7 @@ class TestSinglePrecisionForward:
         rng = np.random.default_rng(16)
         H, D = 3, 2
         X, W, U, b = (rng.normal(0.0, 0.5, shape).astype(np.float32)
-                      for shape in ((2, 4, D), (D, 4 * H), (H, 4 * H), (4 * H,)))
+                      for shape in ((4, 2, D), (D, 4 * H), (H, 4 * H), (4 * H,)))
         states, (gates, cells) = nn._lstm_forward(X, W, U, b)
         assert states.dtype == gates.dtype == cells.dtype == np.float32
 
@@ -182,7 +210,8 @@ class TestSinglePrecisionForward:
         lstm, head, seen = nn._lstm_forward, nn._head, []
 
         def recorded_lstm(x_seq, W, U, b):
-            seen.append(("lstm", len(x_seq), {a.dtype for a in (x_seq, W, U, b)}))
+            assert x_seq.flags.c_contiguous
+            seen.append(("lstm", x_seq.shape[1], {a.dtype for a in (x_seq, W, U, b)}))
             return lstm(x_seq, W, U, b)
 
         def recorded_head(views, h_last):
@@ -192,7 +221,7 @@ class TestSinglePrecisionForward:
         monkeypatch.setattr(nn, "_lstm_forward", recorded_lstm)
         monkeypatch.setattr(nn, "_head", recorded_head)
         model = _random_model(TINY, 17, jitter=0.3)
-        p = nn.forward_batch(model, np.zeros((nn.FORWARD_CHUNK + 3, 4, 2)))
+        p = nn.forward_batch(model, np.zeros((nn.FORWARD_CHUNK + 3, 4, 2)))  # batch-major in, time-major on
         single = {np.dtype(np.float32)}
         assert seen == [(kind, rows, single) for rows in (nn.FORWARD_CHUNK, 3)  # a full chunk, then the tail
                         for kind in ("lstm", "lstm", "head")]
@@ -204,11 +233,12 @@ class TestSinglePrecisionForward:
         rng = np.random.default_rng(19)
         model = _random_model(arch, 19, jitter=0.05)
         X = rng.normal(0.0, 1.0, (40, arch.input_steps, arch.input_dim))
-        full, _ = nn._forward_full(nn._views(arch, model.params.astype(np.float32)), X.astype(np.float32))
+        full, _ = nn._forward_full(nn._views(arch, model.params.astype(np.float32)),
+                                   X.transpose(1, 0, 2).astype(np.float32))
         assert np.array_equal(nn.forward_batch(model, X), full.astype(np.float64))
 
     def test_float32_stack_is_taken_as_it_is(self, monkeypatch):
-        # train hands forward_batch its float32 splits: same probabilities, no widened copy
+        # train hands the forward its time-major float32 split blocks: same probabilities, no copy
         lstm, inputs = nn._lstm_forward, []
 
         def recorded_lstm(x_seq, W, U, b):
@@ -217,11 +247,12 @@ class TestSinglePrecisionForward:
 
         model = _random_model(TINY, 20, jitter=0.3)
         X = np.random.default_rng(20).normal(0.0, 1.0, (nn.FORWARD_CHUNK + 3, 4, 2))
-        X32 = X.astype(np.float32)
+        blocks = nn._float32_blocks(X, np.arange(len(X)))
         expected = nn.forward_batch(model, X)
         monkeypatch.setattr(nn, "_lstm_forward", recorded_lstm)
-        assert np.array_equal(nn.forward_batch(model, X32), expected)
-        assert all(np.shares_memory(x_seq, X32) for x_seq in inputs[::2])  # each chunk's LSTM-1 input
+        assert np.array_equal(nn._forward_blocks(model, blocks), expected)
+        assert [x_seq.shape[1] for x_seq in inputs[::2]] == [nn.FORWARD_CHUNK, 3]
+        assert all(x_seq is block for x_seq, block in zip(inputs[::2], blocks, strict=True))  # each LSTM-1 input
         with pytest.raises(ShapeMismatch):
             nn.forward_batch(model, np.zeros((3, 4, 3), np.float32))
 
@@ -232,7 +263,7 @@ class TestSinglePrecisionForward:
         rng = np.random.default_rng(18)
         model = nn.Model(arch, rng.uniform(-1.0, 1.0, arch.param_count) * 1e37)
         X = rng.normal(0.0, 1.0, (5, arch.input_steps, arch.input_dim)) * 3
-        exact, _ = nn._forward_full(nn._views(arch, model.params), X)
+        exact, _ = nn._forward_full(nn._views(arch, model.params), X.transpose(1, 0, 2))
         assert np.all(np.isfinite(exact))
         with pytest.raises(DegenerateInput, match="single precision"):
             nn.forward_batch(model, X)
@@ -311,14 +342,16 @@ class TestAdam:
 
     def test_in_place_step_is_the_formula_bit_for_bit(self):
         def formula(params, grads, state, lr):
+            # Kingma & Ba's efficient form over the moments scaled by 1 / (1 - beta)
             state.t += 1
             state.m *= nn.ADAM_BETA1
-            state.m += (1.0 - nn.ADAM_BETA1) * grads
+            state.m += grads
             state.v *= nn.ADAM_BETA2
-            state.v += (1.0 - nn.ADAM_BETA2) * grads * grads
-            m_hat = state.m / (1.0 - nn.ADAM_BETA1**state.t)
-            v_hat = state.v / (1.0 - nn.ADAM_BETA2**state.t)
-            params -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+            state.v += grads * grads
+            root = math.sqrt(1.0 - nn.ADAM_BETA2**state.t)
+            step = lr * root / (1.0 - nn.ADAM_BETA1**state.t) * (1.0 - nn.ADAM_BETA1) / math.sqrt(1.0 - nn.ADAM_BETA2)
+            eps = nn.ADAM_EPS * root / math.sqrt(1.0 - nn.ADAM_BETA2)
+            params -= state.m / (np.sqrt(state.v) + eps) * step
 
         rng = np.random.default_rng(21)
         # within one block, exactly one block, and three blocks with a ragged tail
@@ -463,7 +496,7 @@ class TestBackward:
         W = rng.normal(0, 0.4, (D, 4 * H))
         U = rng.normal(0, 0.4, (H, 4 * H))
         b = rng.normal(0, 0.2, 4 * H)
-        X = rng.normal(0, 1, (B, T, D))
+        X = rng.normal(0, 1, (T, B, D))  # time-major, as every LSTM routine
 
         states, cache = nn._lstm_forward(X, W, U, b)
         dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
@@ -489,7 +522,7 @@ class TestBackward:
                 assert abs(grad[idx] - numeric) <= 1e-4 * max(1.0, abs(numeric))
 
     def test_spot_gradients_at_default_architecture(self):
-        # TINY never exercises the B*T reshapes or the states[:, :-1] / dz[:, 1:]
+        # TINY never exercises the T*B reshapes or the states[:-1] / dz[1:]
         # pairing at real sizes: check a few entries of every block at 8x513
         arch = nn.Architecture()
         rng = np.random.default_rng(14)
@@ -535,7 +568,7 @@ class TestBackward:
 
 
 # ||float32 _grad - float64 _grad|| / ||float64 _grad|| at one float32-rounded
-# point. Measured: 1.1e-7 to 3.6e-7 on random default-architecture batches.
+# point. Measured: 1.8e-7 to 4.5e-7 on random default-architecture batches.
 F32_GRADIENT_AGREEMENT = 1e-5
 
 
@@ -546,7 +579,7 @@ class TestSinglePrecisionGradient:
         arch = nn.Architecture()
         rng = np.random.default_rng(seed)
         params = (nn.init_params(arch, rng) + rng.normal(0.0, 0.05, arch.param_count)).astype(np.float32)
-        X = rng.normal(0.0, 1.0, (batch, arch.input_steps, arch.input_dim)).astype(np.float32)
+        X = rng.normal(0.0, 1.0, (arch.input_steps, batch, arch.input_dim)).astype(np.float32)  # time-major
         y = rng.integers(0, 2, batch).astype(np.float32)
         single, _ = nn._grad(arch, params, X, y)
         double, _ = nn._grad(arch, params.astype(np.float64), X.astype(np.float64), y.astype(np.float64))
@@ -566,7 +599,7 @@ class TestSinglePrecisionGradient:
 
         monkeypatch.setattr(nn, "_lstm_backward", counted)
         rng = np.random.default_rng(22)
-        X = rng.normal(0, 1, (3, 4, 2)).astype(dtype)
+        X = rng.normal(0, 1, (4, 3, 2)).astype(dtype)  # time-major: 3 rows of 4 steps
         y = np.array([1.0, 0.0, 1.0], dtype)
         params = _random_model(TINY, 22, jitter=0.3).params.astype(dtype)
         live, _ = nn._grad(TINY, params, X, y)
@@ -639,27 +672,32 @@ class TestTrain:
         rows = rng.permutation(11)[:8]
         mean, std = rng.normal(0.0, 1.0, 2), rng.uniform(0.5, 2.0, 2)
         for stats, expected in (((), X[rows]), ((mean, std), (X[rows] - mean) / std)):
-            split = nn._float32_rows(X, rows, *stats)
-            assert split.dtype == np.float32 and np.array_equal(split, expected.astype(np.float32))
+            blocks = nn._float32_blocks(X, rows, *stats)
+            assert [block.shape[1] for block in blocks] == [3, 3, 2]
+            assert all(block.dtype == np.float32 and block.flags.c_contiguous for block in blocks)
+            split = np.concatenate(blocks, axis=1)
+            assert np.array_equal(split, expected.transpose(1, 0, 2).astype(np.float32))
+            batch = rng.permutation(8)[:5]
+            assert np.array_equal(nn._take(blocks, batch), split[:, batch])
 
     @pytest.mark.parametrize("metrics_fail", [True, False])
     @pytest.mark.filterwarnings("error")
     def test_an_epochs_metrics_fail_before_a_later_epochs_step(self, monkeypatch, caplog, metrics_fail):
         # epoch 2's first step runs while epoch 1's metrics are in flight; without
         # the overlap epoch 1's metrics would have stopped training first
-        forward, grad, grads = nn.forward_batch, nn._grad, []
+        forward, grad, grads = nn._forward_blocks, nn._grad, []
 
-        def failing_forward(model, X):
+        def failing_forward(model, blocks):
             if metrics_fail:
                 raise DegenerateInput("3 of 19 probabilities are not finite")
-            return forward(model, X)
+            return forward(model, blocks)
 
         def diverging_grad(arch, params, X, y):
             grads.append(len(X))
             g, loss = grad(arch, params, X, y)
             return g, (np.inf if len(grads) == 2 else loss)  # 19 rows: one step per epoch
 
-        monkeypatch.setattr(nn, "forward_batch", failing_forward)
+        monkeypatch.setattr(nn, "_forward_blocks", failing_forward)
         monkeypatch.setattr(nn, "_grad", diverging_grad)
         rng = np.random.default_rng(13)
         X, y = _toy_corpus(rng, n=24)
