@@ -6,16 +6,15 @@ is involved, which keeps training bit-deterministic for a fixed seed and
 BLAS thread count and makes the analytic gradients checkable against finite
 differences.
 
-Training keeps float64 master parameters and runs Adam in float64; each
-step's gradient is computed in single precision over the float32 rounding of
-the parameters and widened to float64 for the norm, the clip and Adam
-(mixed precision, Micikevicius et al., arXiv:1710.03740). The public
-backward runs in double precision. Every forward that reports probabilities
-(training metrics, eval, score) runs in single precision over
-the float32 rounding of the parameters, which is exactly what a model file
-stores, so a trained model and its reloaded file give the same probabilities
-bit for bit. train casts its two splits to float32 once and runs each
-epoch's metrics through overlap, beside the next epoch's steps.
+Training runs in float32 end to end: master parameters (the float32 rounding
+of init_params, what a model file stores), gradient and Adam moments; the
+wider master copy of Micikevicius et al. (arXiv:1710.03740) guards float16
+updates, which do not arise here. The clip's gradient norm is a float32 dot,
+redone in float64 where that overflows. The public backward runs in double
+precision. Every forward that reports probabilities (training metrics, eval,
+score) runs in float32 over the stored parameters, so a trained model and its
+reloaded file give the same probabilities bit for bit. train casts its splits
+to float32 once and runs each epoch's metrics beside the next epoch's steps.
 
 The LSTM routines are time-major, (steps, batch, .), so a step works on
 contiguous blocks; forward_batch transposes each chunk inside its float32
@@ -23,7 +22,7 @@ cast, and train keeps its float32 splits as time-major blocks. The logistic
 sigmoid is 0.5 tanh(z / 2) + 0.5, so one np.tanh activates a step's four
 gates. Adam runs in Kingma & Ba's efficient form (adam_step).
 
-All trainable parameters live in one flat float64 vector. Layout, in order:
+All trainable parameters live in one flat vector. Layout, in order:
 
     lstm1.W (input_dim, 4*H1)   lstm1.U (H1, 4*H1)   lstm1.b (4*H1,)
     lstm2.W (H1, 4*H2)          lstm2.U (H2, 4*H2)   lstm2.b (4*H2,)
@@ -57,7 +56,6 @@ from .errors import CorruptFile, DegenerateInput, EmptySplit, ShapeMismatch, Ver
 BCE_EPS = 1e-7
 PREDICT_THRESHOLD = 0.5  # p >= 0.5 predicts class 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
-F32_MAX = float(np.finfo(np.float32).max)  # parameters are stored in single precision
 FORWARD_CHUNK = 512  # fragments per network pass inside forward_batch; bounds the LSTM state
 # arrays of train's metrics and of an eval or score session over 512 fragments, and the
 # float64 rows train converts to float32 at a time, the rows of each block of its splits
@@ -201,6 +199,7 @@ def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
     coef[:, :, 2] *= a[:, :, 0]
     coef[:, :, 3] *= tc
     o_dtanh = a[:, :, 3] * (1 - tc * tc)  # dc picks up dh o (1 - tanh(c)^2)
+    UT = np.ascontiguousarray(U.T)  # a plain (NN) matmul per step, not a transposed one
     dz = np.empty_like(gates)
     dz4 = dz.reshape(T, B, 4, H)
     dh, dc = d_states[T - 1], np.zeros((B, H), gates.dtype)
@@ -209,7 +208,8 @@ def _lstm_backward(x_seq, states, cache, U, d_states, dW, dU, db):
         np.multiply(dc[:, None], coef[t, :, :3], out=dz4[t, :, :3])
         np.multiply(dh, coef[t, :, 3], out=dz4[t, :, 3])
         if t:
-            dh = d_states[t - 1] + dz[t] @ U.T
+            dh = dz[t] @ UT
+            dh += d_states[t - 1]
             dc *= a[t, :, 1]
     dW += x_seq.reshape(T * B, D).T @ dz.reshape(T * B, 4 * H)
     dU += states[:-1].reshape((T - 1) * B, H).T @ dz[1:].reshape((T - 1) * B, 4 * H)
@@ -425,12 +425,12 @@ def adam_step(params, grads, state, lr=1e-3):
     (sqrt(v) + eps_t), lr_t = lr sqrt(1 - beta2^t) / (1 - beta1^t), eps_t = eps
     sqrt(1 - beta2^t); over AdamState's scaled moments, lr_t takes a factor
     (1 - beta1) / sqrt(1 - beta2) and eps_t 1 / sqrt(1 - beta2). In place,
-    ADAM_BLOCK elements at a time. Vectors are flat.
+    ADAM_BLOCK elements at a time, in the dtype of the flat vectors (float32 in train).
     """
     state.t += 1
     root = math.sqrt(1.0 - ADAM_BETA2**state.t)
     step = lr * root / (1.0 - ADAM_BETA1**state.t) * (1.0 - ADAM_BETA1) / math.sqrt(1.0 - ADAM_BETA2)
-    eps = ADAM_EPS * root / math.sqrt(1.0 - ADAM_BETA2)
+    step, eps = params.dtype.type(step), params.dtype.type(ADAM_EPS * root / math.sqrt(1.0 - ADAM_BETA2))
     work = np.empty(min(ADAM_BLOCK, params.size), params.dtype)
     for start in range(0, params.size, ADAM_BLOCK):
         span = slice(start, start + ADAM_BLOCK)
@@ -527,16 +527,17 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
     X is the raw fragment stack (N, steps, input_dim); y the binary labels.
     With standardize=True, per-bin mean/std are computed over the training
     fragments, applied everywhere, and frozen into the returned model.
-    A non-finite batch loss or gradient norm, a parameter beyond float32
-    range, or an epoch's metrics forward that overflows float32 raises
-    DegenerateInput naming the epoch (and step). Each step's gradient is
-    computed in float32 (see the module docstring). Logs one INFO line per
-    epoch: its metrics and how many steps had an exactly zero gradient.
+    DegenerateInput, naming the epoch (and step), stops a run whose batch loss
+    or gradient norm is not finite, whose parameters or Adam second moments
+    overflow float32 by an epoch's end, or whose epoch metrics forward
+    overflows float32. Steps run in float32 (see the module docstring); the
+    returned params are widened to float64, as load_model returns its file.
+    Logs one INFO line per epoch: its metrics, its clipped steps, its largest
+    gradient norm before the clip, and its steps with a zero gradient.
 
     The splits are cast to time-major float32 blocks once. An epoch's metrics
-    are one job for overlap, _forward_blocks over each split at a float32
-    snapshot of that epoch's final parameters, which runs while the next
-    epoch's steps run.
+    are one job for overlap, _forward_blocks over each split at a copy of that
+    epoch's final parameters, which runs while the next epoch's steps run.
     """
     arch = arch or Architecture()
     X = _check_batch(arch, X, np.float64)
@@ -559,53 +560,52 @@ def train(X, y, split, config, arch=None, dsp_config=None, standardize=False, ex
         mean, std = flat.mean(axis=0), np.maximum(flat.std(axis=0), 1e-8)
         del flat
     X_train, X_test = (_float32_blocks(X, rows, mean, std) for rows in (train_idx, test_idx))
-    del X  # only the float32 splits stay alive across the epochs
+    del X  # frees a converted copy only: a caller's float64 stack (cli.cmd_train's) stays alive
     y_test = y[test_idx]
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(arch, rng)
+    params = init_params(arch, rng).astype(np.float32)
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
     n_train = train_idx.size
     starts = range(0, n_train, config.batch_size)
-    zero_steps = []  # per epoch; an epoch's steps run before the previous epoch's metrics are read
+    counts = []  # per epoch [clipped, largest norm, zero]; the next epoch's steps run before it is logged
 
     def epochs():
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_train)
-            zero_steps.append(0)
+            counts.append(tally := [0, 0.0, 0])
             for step, start in enumerate(starts, start=1):
                 sel = order[start : start + config.batch_size]
-                grad, loss = _grad(arch, params.astype(np.float32), _take(X_train, sel),
-                                   y_train[sel].astype(np.float32))
-                grad = grad.astype(np.float64)
-                norm = float(np.linalg.norm(grad))
+                grad, loss = _grad(arch, params, _take(X_train, sel), y_train[sel].astype(np.float32))
+                norm = math.sqrt(np.dot(grad, grad))  # float32, and float64 where that overflows
+                norm = float(np.linalg.norm(grad.astype(np.float64))) if math.isinf(norm) else norm
                 if not (np.isfinite(loss) and np.isfinite(norm)):
                     raise DegenerateInput(f"training diverged at epoch {epoch}, step {step}: "
                                           f"batch loss {loss}, gradient norm {norm}")
-                zero_steps[-1] += norm == 0.0
+                tally[1], tally[2] = max(tally[1], norm), tally[2] + (norm == 0.0)
                 if config.clip_norm is not None and norm > config.clip_norm:
-                    grad *= config.clip_norm / norm
+                    tally[0] += 1
+                    grad *= np.float32(config.clip_norm / norm)
                 adam_step(params, grad, state, lr=config.learning_rate)
-            largest = float(max(params.max(), -params.min()))  # nan if any parameter is
-            if not largest <= F32_MAX:
-                raise DegenerateInput(f"training diverged in epoch {epoch}: largest parameter "
-                                      f"{largest:.3g} (a model file holds at most {F32_MAX:.3g})")
-            snapshot = Model(arch, params.astype(np.float32))  # the next adam_step mutates params in place
+            if not (np.isfinite(params).all() and np.isfinite(state.v).all()):
+                raise DegenerateInput(f"training diverged in epoch {epoch}: a parameter or an Adam "
+                                      "second moment overflowed single precision (float32)")
+            snapshot = Model(arch, params.copy())  # the next adam_step mutates params in place
             yield partial(_epoch_metrics, epoch, snapshot, X_train, y_train, X_test, y_test)
 
     trace = TrainTrace()
     for epoch, row in enumerate(overlap(epochs()), start=1):
         for column, value in zip(vars(trace).values(), row):
             column.append(value)
-        logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, "
-                    "%d of %d steps with a zero gradient", epoch, config.epochs, *row,
-                    zero_steps[epoch - 1], len(starts))
+        clipped, largest, zeros = counts[epoch - 1]
+        logger.info("epoch %d/%d: train loss %.6g accuracy %.3f, test loss %.6g accuracy %.3f, %d of %d steps "
+                    "clipped, largest gradient norm %.6g, %d of %d steps with a zero gradient",
+                    epoch, config.epochs, *row, clipped, len(starts), largest, zeros, len(starts))
 
     meta = {**asdict(config), "standardized": bool(standardize), "split_seed": int(split.seed),
             "n_train": int(n_train), "n_test": int(test_idx.size),
             **{f"final_{name}": values[-1] for name, values in vars(trace).items()}, **(extra_meta or {})}
-    model = Model(arch, params, dsp_config, input_mean=mean, input_std=std, train_meta=meta)
-    return model, trace
+    return Model(arch, params.astype(np.float64), dsp_config, mean, std, meta), trace  # as load_model returns it
 
 
 def _checksum(doc):

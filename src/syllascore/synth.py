@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import SampleBuffer, write_wav
 from .dataset import Manifest, SyllableRecord, load_manifest, save_manifest
@@ -126,6 +125,7 @@ def _render(spec, patient_id, session_index, syllable_id, severity):
     spread is what lets session scores vary smoothly between the two
     trained extremes.
     """
+    from scipy.signal import lfilter  # here, so only synth pays for importing scipy.signal
     if not 0.0 <= severity <= 1.0:
         raise ValueError(f"severity {severity} outside [0, 1]")
     fs = spec.sample_rate_hz

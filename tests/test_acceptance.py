@@ -265,6 +265,25 @@ def test_criterion_8_round_trips(accept_run, tmp_path):
              f"(model {model_ok}, manifest {manifest_ok}, reports {report_ok})")
 
 
+# The acceptance run with float64 master parameters and Adam (commit 7a33814, the last
+# before training moved to float32 end to end), at one BLAS thread; at two it ended the
+# same but with expert correlation 0.9340875960178574.
+FLOAT64_MASTER_FINAL = {"final_train_accuracy": 1.0, "final_test_accuracy": 1.0,
+                        "final_train_loss": 1.0000000494736472e-07, "final_test_loss": 1.0000000494736472e-07}
+FLOAT64_MASTER_CORRELATION = 0.934087592285575
+# |float32-master - float64-master expert correlation|. Measured: 2.1e-7 at one BLAS thread
+# (0.9340873816917907), 2.0e-7 at two (0.9340873916967428).
+MASTER_PRECISION_CORRELATION = 5e-7
+
+
+def test_float32_master_run_matches_the_float64_master_run(accept_run):
+    """Training in float32 end to end ends where float64 master parameters did."""
+    meta = nn.load_model(accept_run["model"]).train_meta
+    r = scoring.from_json(accept_run["scores"].read_text()).expert_correlation
+    assert {k: meta[k] for k in FLOAT64_MASTER_FINAL} == FLOAT64_MASTER_FINAL
+    assert abs(r - FLOAT64_MASTER_CORRELATION) <= MASTER_PRECISION_CORRELATION, r
+
+
 def test_single_precision_scores_agree_with_double_precision(accept_run):
     """The float32 forward that eval and score run against the float64 forward
     over the same stored parameters, on every fragment of the corpus."""

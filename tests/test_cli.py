@@ -236,6 +236,28 @@ class TestTrainCommand:
         assert err.startswith("error: training diverged in epoch 1:") and "single precision" in err
         assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
 
+    @pytest.mark.filterwarnings("error")
+    def test_unclipped_gradient_overflowing_adams_second_moment_exits_five(self, tmp_path, capsys, monkeypatch):
+        # 1e20 has a finite norm, so the step runs; its float32 square does not fit Adam's v,
+        # which leaves the parameter unmoved (1e20 / inf) instead of diverging it
+        grad = nn._grad
+
+        def huge_grad(arch, params, X, y):
+            g, loss = grad(arch, params, X, y)
+            g[0] = 1e20
+            return g, loss
+
+        monkeypatch.setattr(nn, "_grad", huge_grad)
+        corpus_dir = tmp_path / "c"
+        main(["synth", "--out", str(corpus_dir), "--syllables", "3", "--duration", "0.5", "--seed", "4"])
+        capsys.readouterr()
+        code = main(["train", "--manifest", str(corpus_dir / "manifest.txt"),
+                     "--model-out", str(tmp_path / "m.json"), "--epochs", "2", "--no-clip"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in epoch 1:") and "Adam second moment" in err
+        assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no trace
+
     def test_missing_audio_exits_four(self, tmp_path):
         corpus_dir = tmp_path / "c"
         main(["synth", "--out", str(corpus_dir), "--syllables", "2",
@@ -333,6 +355,16 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(corpus_dir / "nope.json"),
                      "--manifest", str(corpus_dir / "manifest.txt")])
         assert code == 3
+
+
+def test_importing_the_cli_imports_no_scipy():
+    # scipy.signal is most of the CLI's start-up; only synth's rendering imports it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, syllascore, syllascore.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestDeterminism:

@@ -340,7 +340,8 @@ class TestAdam:
         assert params[0] == pytest.approx(theta, abs=1e-12)
 
 
-    def test_in_place_step_is_the_formula_bit_for_bit(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])  # train's operands, and float64 callers'
+    def test_in_place_step_is_the_formula_bit_for_bit(self, dtype):
         def formula(params, grads, state, lr):
             # Kingma & Ba's efficient form over the moments scaled by 1 / (1 - beta)
             state.t += 1
@@ -356,11 +357,11 @@ class TestAdam:
         rng = np.random.default_rng(21)
         # within one block, exactly one block, and three blocks with a ragged tail
         for n in (10_000, nn.ADAM_BLOCK, 3 * nn.ADAM_BLOCK + 7):
-            params = rng.normal(0.0, 0.1, n)
+            params = rng.normal(0.0, 0.1, n).astype(dtype)
             expected = params.copy()
-            state, expected_state = (nn.AdamState(np.zeros(n), np.zeros(n)) for _ in range(2))
+            state, expected_state = (nn.AdamState(np.zeros(n, dtype), np.zeros(n, dtype)) for _ in range(2))
             for _ in range(50):
-                grads = rng.normal(0.0, 1.0, n) * rng.uniform(1e-4, 1.0)
+                grads = (rng.normal(0.0, 1.0, n) * rng.uniform(1e-4, 1.0)).astype(dtype)
                 grads *= min(1.0, nn.TrainConfig.clip_norm / np.linalg.norm(grads))  # as train clips them
                 kept = grads.copy()
                 formula(expected, grads, expected_state, 1e-3)
@@ -368,7 +369,7 @@ class TestAdam:
                 assert np.array_equal(grads, kept)
             assert state.t == expected_state.t == 50
             for actual, wanted in ((params, expected), (state.m, expected_state.m), (state.v, expected_state.v)):
-                assert np.array_equal(actual, wanted)
+                assert actual.dtype == dtype and np.array_equal(actual, wanted)
 
 
 def _planned_job(k, fails):
@@ -733,12 +734,14 @@ class TestTrain:
         np.testing.assert_allclose(model.standardize(frag),
                                    (frag - model.input_mean) / model.input_std, rtol=1e-12)
 
-    def test_gradient_step_is_single_precision_over_double_precision_adam(self, monkeypatch):
+    def test_gradient_step_and_adam_are_single_precision(self, monkeypatch):
         grad, adam, seen = nn._grad, nn.adam_step, []
 
         def recorded_grad(arch, params, X, y):
             seen.append(("grad", {params.dtype, X.dtype, y.dtype}))
-            return grad(arch, params, X, y)
+            g, loss = grad(arch, params, X, y)
+            seen.append(("gradient", {g.dtype}))
+            return g, loss
 
         def recorded_adam(params, grads, state, lr):
             seen.append(("adam", {params.dtype, grads.dtype, state.m.dtype, state.v.dtype}))
@@ -749,8 +752,38 @@ class TestTrain:
         rng = np.random.default_rng(9)
         X, y = _toy_corpus(rng, n=24)
         model, _ = nn.train(X, y, split_fragments(len(y), y, ratio=0.8, seed=9), nn.TrainConfig(epochs=1, seed=9))
-        assert seen == [("grad", {np.dtype(np.float32)}), ("adam", {np.dtype(np.float64)})]  # 19 rows: one step
-        assert model.params.dtype == np.float64
+        single = {np.dtype(np.float32)}
+        assert seen == [("grad", single), ("gradient", single), ("adam", single)]  # 19 rows: one step
+        assert model.params.dtype == np.float64  # widened from float32, as load_model returns a file's
+        assert np.array_equal(model.params, model.params.astype(np.float32))
+
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_whose_float32_norm_overflows_is_clipped(self, monkeypatch, caplog):
+        # every entry is 1e20: the float32 dot overflows, the float64 norm is 1e20 sqrt(n)
+        grad, adam, seen = nn._grad, nn.adam_step, []
+
+        def huge_grad(arch, params, X, y):
+            g, loss = grad(arch, params, X, y)
+            g[:] = 1e20
+            return g, loss
+
+        def recorded_adam(params, grads, state, lr):
+            seen.append(grads.copy())
+            return adam(params, grads, state, lr=lr)
+
+        monkeypatch.setattr(nn, "_grad", huge_grad)
+        monkeypatch.setattr(nn, "adam_step", recorded_adam)
+        rng = np.random.default_rng(15)
+        X, y = _toy_corpus(rng, n=24)
+        config = nn.TrainConfig(epochs=1, seed=15)
+        with caplog.at_level("INFO", logger="syllascore.nn"):
+            model, _ = nn.train(X, y, split_fragments(len(y), y, ratio=0.8, seed=15), config)
+        n = model.arch.param_count
+        assert len(seen) == 1 and seen[0].dtype == np.float32  # 19 rows: one step
+        assert np.linalg.norm(seen[0].astype(np.float64)) == pytest.approx(config.clip_norm, rel=1e-6)
+        assert np.all(seen[0] == seen[0][0])
+        [line] = [r.getMessage() for r in caplog.records if r.name == "syllascore.nn"]
+        assert f", 1 of 1 steps clipped, largest gradient norm {1e20 * math.sqrt(n):.6g}, " in line
 
     def test_zero_gradient_steps_are_logged_per_epoch(self, monkeypatch, caplog):
         grad, zero = nn._grad, []
@@ -773,6 +806,32 @@ class TestTrain:
         assert [line.split(", ")[-1] for line in lines] == [
             f"{sum(zero[k * steps : (k + 1) * steps])} of {steps} steps with a zero gradient" for k in range(3)]
         assert 0 < sum(zero) < len(zero)  # the count is not a constant
+
+    def test_clipped_steps_and_largest_gradient_norm_are_logged_per_epoch(self, monkeypatch, caplog):
+        grad, norms = nn._grad, []
+
+        def recorded(arch, params, X, y):
+            g, loss = grad(arch, params, X, y)
+            norms.append(np.linalg.norm(g.astype(np.float64)))
+            return g, loss
+
+        monkeypatch.setattr(nn, "_grad", recorded)
+        rng = np.random.default_rng(10)
+        X, y = _toy_corpus(rng, n=24)
+        split = split_fragments(len(y), y, ratio=0.8, seed=10)
+        config = nn.TrainConfig(epochs=3, batch_size=4, learning_rate=0.05, seed=10)
+        with caplog.at_level("INFO", logger="syllascore.nn"):
+            nn.train(X, y, split, config)
+        steps = len(norms) // 3
+        lines = [r.getMessage() for r in caplog.records if r.name == "syllascore.nn"]
+        assert len(lines) == 3
+        for k, line in enumerate(lines):
+            epoch = norms[k * steps : (k + 1) * steps]
+            clipped, largest = line.split(", ")[-3:-1]
+            assert clipped == f"{sum(n > config.clip_norm for n in epoch)} of {steps} steps clipped"
+            # train's norm is a float32 dot: within float32 rounding of the float64 norm
+            assert float(largest.removeprefix("largest gradient norm ")) == pytest.approx(max(epoch), rel=1e-5)
+        assert 0 < sum(n > config.clip_norm for n in norms) < len(norms)  # the count is not a constant
 
     def test_trace_metadata(self):
         rng = np.random.default_rng(8)
