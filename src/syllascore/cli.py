@@ -7,16 +7,23 @@ consults the wall clock, so identical invocations at the same BLAS thread
 count produce identical bytes. A different thread count can move a trace
 value or a fragment score in its last float32 bits (see the README).
 
+Each flag of synth and train that sets a field of synth.SynthSpec,
+nn.TrainConfig or dsp.DspConfig stores into that field's name (its dest), and
+the subcommand takes its defaults from the dataclass, so a config is built from
+the parsed flags by field name.
+
 A subcommand may take --config <file>: a json object whose keys are the
 subcommand's flag names without the leading dashes ({"epochs": 10,
-"standardize": true}). Explicit flags win over config values. A second
---config exits 2.
+"standardize": true}). Explicit flags win over config values; an explicit
+repeatable flag (eval's --cohort) replaces the config's list. A second
+--config, a config key naming one, or an abbreviated --config exits 2.
 """
 
 import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import corpus, nn, scoring, synth
@@ -46,57 +53,42 @@ def _emit(text, out_path):
         print(text)
 
 
-def _parse_float_list(text):
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _comma_list(text, flag, kind):
+    """text's comma-separated items as kind (float or int); an empty or malformed item
+    raises ValueError naming --flag."""
+    try:
+        return [kind(part) for part in text.split(",")]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"--{flag} must be a comma-separated list of {noun}") from None
 
 
-def _dsp_from_args(args):
-    return DspConfig(
-        hop=args.hop,
-        window=args.window,
-        gate_ratio=args.gate_ratio,
-        log_floor=args.log_floor,
-        fragment_hop=args.fragment_hop,
-        use_log=not args.no_log,
-    )
+def _config(cls, args):
+    """A cls dataclass from the parsed flags whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _add_dsp_flags(sub):
-    sub.add_argument("--hop", type=int, default=DspConfig.hop, help="STFT hop in samples")
-    sub.add_argument("--window", choices=["hann", "rect"], default=DspConfig.window)
-    sub.add_argument("--gate-ratio", type=float, default=DspConfig.gate_ratio,
-                     help="frame energy threshold relative to the loudest frame")
-    sub.add_argument("--log-floor", type=float, default=DspConfig.log_floor)
-    sub.add_argument("--fragment-hop", type=int, default=DspConfig.fragment_hop,
-                     help="frames between fragment starts (8 = non-overlapping)")
-    sub.add_argument("--no-log", action="store_true", help="keep raw magnitudes (ablation)")
+    sub.add_argument("--hop", type=int, help="STFT hop in samples")
+    sub.add_argument("--window", choices=["hann", "rect"])
+    sub.add_argument("--gate-ratio", type=float, help="frame energy threshold relative to the loudest frame")
+    sub.add_argument("--log-floor", type=float)
+    sub.add_argument("--fragment-hop", type=int, help="frames between fragment starts (8 = non-overlapping)")
+    sub.add_argument("--no-log", dest="use_log", action="store_false", help="keep raw magnitudes (ablation)")
+    sub.set_defaults(**asdict(DspConfig()))
 
 
 def cmd_synth(args):
-    if args.severities is not None:
-        try:
-            severities = _parse_float_list(args.severities)
-        except ValueError:
-            return _fail_usage("--severities must be a comma-separated list of numbers")
-        if not severities or any(not 0.0 <= s <= 1.0 for s in severities):
-            return _fail_usage("--severities values must lie in [0, 1]")
-    else:
-        severities = None
+    try:
+        severities = None if args.severities is None else _comma_list(args.severities, "severities", float)
+    except ValueError as exc:
+        return _fail_usage(exc)
+    if severities is not None and any(not 0.0 <= s <= 1.0 for s in severities):
+        return _fail_usage("--severities values must lie in [0, 1]")
     if args.expert_marks and severities is None:
         return _fail_usage("--expert-marks requires --severities")
     try:
-        spec = synth.SynthSpec(
-            n_patients=args.patients,
-            syllables_per_set=args.syllables,
-            sample_rate_hz=args.sample_rate,
-            duration_s=args.duration,
-            formant_shift_hz=args.formant_shift,
-            tilt_db_per_octave=args.tilt,
-            snr_clean_db=args.snr_clean,
-            snr_worst_db=args.snr_worst,
-            articulation_spread=args.articulation_spread,
-            seed=args.seed,
-        )
+        spec = _config(synth.SynthSpec, args)
     except ValueError as exc:
         return _fail_usage(exc)
     manifest = synth.generate_corpus(spec, args.out)
@@ -115,14 +107,8 @@ def cmd_train(args):
         return _fail_usage("--split-ratio must be in (0, 1)")
     try:
         cohort = Cohort.parse(args.cohort)
-        cfg = _dsp_from_args(args)
-        config = nn.TrainConfig(
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            seed=args.seed,
-            clip_norm=None if args.no_clip else nn.TrainConfig.clip_norm,
-        )
+        cfg = _config(DspConfig, args)
+        config = _config(nn.TrainConfig, args)
     except ValueError as exc:
         return _fail_usage(exc)
     manifest = filter_cohort(load_manifest(args.manifest, drop_incomplete=args.drop_incomplete), cohort)
@@ -166,11 +152,11 @@ def cmd_score(args):
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest, drop_incomplete=args.drop_incomplete)
     pairs = corpus.scoreable_sessions(manifest, args.patient)
-    if args.sessions:
+    if args.sessions is not None:
         try:
-            wanted = {int(s) for s in args.sessions.split(",")}
-        except ValueError:
-            return _fail_usage("--sessions must be a comma-separated list of integers")
+            wanted = set(_comma_list(args.sessions, "sessions", int))
+        except ValueError as exc:
+            return _fail_usage(exc)
         pairs = [p for p in pairs if p[1] in wanted]
     grid = scoring.score_sessions(model, manifest, pairs, fragment_mean=args.fragment_mean,
                                   expert_marks=args.expert_marks)
@@ -201,25 +187,22 @@ def build_parser():
 
     p = commands.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--patients", type=int, default=synth.SynthSpec.n_patients)
-    p.add_argument("--syllables", type=int, default=synth.SynthSpec.syllables_per_set)
-    p.add_argument("--sample-rate", type=int, default=synth.SynthSpec.sample_rate_hz)
-    p.add_argument("--duration", type=float, default=synth.SynthSpec.duration_s, help="seconds per syllable")
-    p.add_argument("--formant-shift", type=float, default=synth.SynthSpec.formant_shift_hz,
+    p.add_argument("--patients", dest="n_patients", type=int)
+    p.add_argument("--syllables", dest="syllables_per_set", type=int)
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=int)
+    p.add_argument("--duration", dest="duration_s", type=float, help="seconds per syllable")
+    p.add_argument("--formant-shift", dest="formant_shift_hz", type=float,
                    help="formant displacement in Hz at severity 1")
-    p.add_argument("--tilt", type=float, default=synth.SynthSpec.tilt_db_per_octave,
-                   help="spectral tilt in dB/octave at severity 1")
-    p.add_argument("--snr-clean", type=float, default=synth.SynthSpec.snr_clean_db)
-    p.add_argument("--snr-worst", type=float, default=synth.SynthSpec.snr_worst_db)
-    p.add_argument("--articulation-spread", type=float, default=synth.SynthSpec.articulation_spread,
-                   help="per-recording severity jitter half-width")
-    p.add_argument("--severities", default=None,
-                   help="comma-separated severities for rehabilitation sessions 3..k")
+    p.add_argument("--tilt", dest="tilt_db_per_octave", type=float, help="spectral tilt in dB/octave at severity 1")
+    p.add_argument("--snr-clean", dest="snr_clean_db", type=float)
+    p.add_argument("--snr-worst", dest="snr_worst_db", type=float)
+    p.add_argument("--articulation-spread", type=float, help="per-recording severity jitter half-width")
+    p.add_argument("--severities", help="comma-separated severities for rehabilitation sessions 3..k")
     p.add_argument("--expert-marks", action="store_true",
                    help="attach rule-based expert marks (1 when severity < 0.5)")
-    p.add_argument("--seed", type=int, default=synth.SynthSpec.seed)
+    p.add_argument("--seed", type=int)
     add_config_flag(p)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **asdict(synth.SynthSpec()))
 
     p = commands.add_parser("train", help="train the classifier on sessions 1 and 2")
     p.add_argument("--manifest", required=True)
@@ -227,11 +210,12 @@ def build_parser():
     p.add_argument("--model-out", required=True)
     p.add_argument("--trace-out", default=None,
                    help="per-epoch trace csv (default: <model-out>.trace.csv)")
-    p.add_argument("--epochs", type=int, default=nn.TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=nn.TrainConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=nn.TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=nn.TrainConfig.seed)
-    p.add_argument("--no-clip", action="store_true", help="disable gradient norm clipping")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-clip", dest="clip_norm", action="store_const", const=None,
+                   help="disable gradient norm clipping")
     p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--split-by", choices=["fragment", "syllable"], default="fragment",
                    help="split granularity; 'syllable' keeps one recording's fragments together")
@@ -241,7 +225,7 @@ def build_parser():
                    help="drop patients with unpaired session 1/2 syllables instead of failing")
     _add_dsp_flags(p)
     add_config_flag(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **asdict(nn.TrainConfig()))
 
     p = commands.add_parser("eval", help="recompute split accuracy for one or more cohorts")
     p.add_argument("--model", required=True)
@@ -282,12 +266,15 @@ def build_parser():
 _REPEATABLE = {"eval": {"cohort"}}  # per subcommand, the flags declared with action="append"
 
 
-def _config_to_args(cfg, command):
-    """The flags a config object stands for; a value that no flag of command
-    takes (null, an object, a list for a flag given once) raises ValueError."""
+def _config_to_args(cfg, command, given):
+    """The flags a config object stands for, less the repeatable ones that the command line's
+    `given` flag names (or abbreviations) replace; a value that no flag of command takes (null,
+    an object, a list for a flag given once) or a key naming a second config raises ValueError."""
     out = []
     for key, value in cfg.items():
         flag = f"--{key}"
+        if key and "config".startswith(key):  # argparse would read it as --config, and nothing would
+            raise ValueError(f"key {key!r} would be a second --config; only one may be given")
         if isinstance(value, bool):
             if value:
                 out.append(flag)
@@ -297,14 +284,15 @@ def _config_to_args(cfg, command):
         if not all(isinstance(item, (str, int, float)) and not isinstance(item, bool) for item in items):
             takes = "a string or a number" + (", or a list of them" if repeatable else "")
             raise ValueError(f"key {key!r} takes {takes}, not {json.dumps(value):.40}")
-        for item in items:
-            out.extend([flag, str(item)])
+        if repeatable and any(flag.startswith(name) for name in given):
+            continue
+        out.extend(f"{flag}={item}" for item in items)  # "=" keeps a value such as -1e-05 from reading as a flag
     return out
 
 
 def _expand_config(argv):
     """Splice one config file's values in ahead of explicit flags (flags win); a second
-    --config is refused."""
+    --config, in the argv or as a config key, is refused."""
     argv = list(argv)
     at = [i for i, token in enumerate(argv) if token == "--config" or token.startswith("--config=")]
     if not at:
@@ -333,10 +321,11 @@ def _expand_config(argv):
         print(f"error: config {path} must hold a json object", file=sys.stderr)
         return argv, EXIT_USAGE
     sub_at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
-    if sub_at is None:
-        return argv, EXIT_USAGE
+    if sub_at is None:  # argparse names the missing subcommand
+        return argv, None
+    given = {token.split("=", 1)[0] for token in argv[sub_at + 1 :] if token.startswith("--")} - {"--"}
     try:
-        flags = _config_to_args(cfg, argv[sub_at])
+        flags = _config_to_args(cfg, argv[sub_at], given)
     except ValueError as exc:
         print(f"error: config {path}: {exc}", file=sys.stderr)
         return argv, EXIT_USAGE
@@ -349,6 +338,8 @@ def main(argv=None):
     if config_error is not None:
         return config_error
     args = build_parser().parse_args(argv)
+    if args.config is not None:  # _expand_config takes out --config spelled in full
+        return _fail_usage(f"--config must be spelled out in full; {args.config} was not read")
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(message)s")
     try:

@@ -336,8 +336,8 @@ def split_by_groups(group_keys, labels, ratio=0.8, seed=0):
     if len(order) < 5:
         raise DegenerateInput(f"need at least 5 recordings to split by group, got {len(order)}")
     group_split = split_fragments(len(order), np.array(group_labels), ratio=ratio, seed=seed)
-    train = np.sort(np.concatenate([members[order[g]] for g in group_split.train_indices]).astype(np.int64))
-    test = np.sort(np.concatenate([members[order[g]] for g in group_split.test_indices]).astype(np.int64))
+    train, test = (np.sort(np.array([i for g in side for i in members[order[g]]], dtype=np.int64))
+                   for side in (group_split.train_indices, group_split.test_indices))  # a side may be empty
     return SplitAssignment(train, test, seed)
 
 

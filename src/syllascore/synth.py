@@ -35,6 +35,7 @@ _TILT_REF_HZ = 200.0
 _PEAK = 0.95
 _MAX_DURATION_S = 30.0
 _MAX_SAMPLE_RATE_HZ = 192000  # keeps a recording's size far inside memory and the WAV header
+_MAX_ABS_SNR_DB = 200.0  # beyond 16-bit PCM's 96 dB either way, and far inside float64's range
 
 _SYLLABLE_SET = "problem90"
 _F0_RANGE = (90.0, 220.0)  # per-patient fundamental
@@ -74,6 +75,8 @@ class SynthSpec:
             raise ValueError(f"syllables must last at most {_MAX_DURATION_S:g} s")
         if self.duration_s * self.sample_rate_hz < 2048:
             raise ValueError("syllables must span at least two analysis frames")
+        if max(abs(self.snr_clean_db), abs(self.snr_worst_db)) > _MAX_ABS_SNR_DB:
+            raise ValueError(f"SNRs must lie in [-{_MAX_ABS_SNR_DB:g}, {_MAX_ABS_SNR_DB:g}] dB")
         if not 0.0 <= self.articulation_spread <= 0.4:
             raise ValueError("articulation_spread must be in [0, 0.4] to keep the classes apart")
 

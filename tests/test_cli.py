@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -15,11 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllascore import cli, corpus, nn, scoring
+from syllascore import cli, corpus, nn, scoring, synth
 from syllascore.audio import SampleBuffer, read_wav, write_wav
 from syllascore.cli import build_parser, main
 from syllascore.dataset import load_manifest
+from syllascore.dsp import DspConfig
 from test_scoring import _sample_eval_report, _sample_score_report
+
+
+def _subparsers():
+    """build_parser()'s subcommand parsers by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _silence_files(corpus_dir, session_index):
@@ -71,15 +80,23 @@ class TestParsing:
             main(["synth", "--out", "x", "--frobnicate"])
         assert err.value.code == 2
 
-    def test_missing_subcommand_exits_two(self):
+    def test_missing_subcommand_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+        cfg = tmp_path / "c.json"  # with a config, this once exited 2 without a word
+        cfg.write_text("{}")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg)])
+        assert err.value.code == 2 and "required: command" in capsys.readouterr().err
 
     def test_bad_severity_names_the_flag(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path), "--severities", "0.5,1.5"])
         assert code == 2
         assert "--severities" in capsys.readouterr().err
+        for text in (",", "0.5,,0.7", "0.5,x"):
+            assert main(["synth", "--out", str(tmp_path), "--severities", text]) == 2
+            assert capsys.readouterr().err == "error: --severities must be a comma-separated list of numbers\n"
 
     def test_bad_cohort_exits_two(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "m.txt"),
@@ -93,6 +110,8 @@ BAD_VALUES = [
     ["synth", "--duration", "nan"],
     ["synth", "--duration", "1e300"],  # finite, but far beyond memory: refused before any allocation
     ["synth", "--sample-rate", "4294967296"],  # would not fit a WAV header
+    ["synth", "--snr-clean", "1e6"],  # 10 ** (snr / 20) once overflowed with a traceback
+    ["synth", "--snr-worst", "-6254"],  # the noise gain once overflowed to inf after session 1 was written
     ["train", "--hop", "0"],
     ["train", "--gate-ratio", "2"],
     ["train", "--split-ratio", "1.5"],
@@ -101,17 +120,28 @@ BAD_VALUES = [
     ["train", "--learning-rate", "nan"],
     ["train", "--log-floor", "inf"],
     ["train", "--seed", "-1"],
+    ["synth", "--severities", "0.5,,0.7"],  # every comma list refuses an empty item
+    ["synth", "--severities", "0.5,0.7,"],
+    ["synth", "--severities", ","],
+    ["synth", "--severities", ""],
+    ["score", "--sessions", "3,,4"],
+    ["score", "--sessions", "3,"],
+    ["score", "--sessions", ""],
+    ["score", "--sessions", "3.0"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_VALUES, ids=[f"{c}{flag}={v}" for c, flag, v in BAD_VALUES])
 def test_bad_flag_value_exits_two(cli_run, tmp_path, capsys, argv):
-    corpus_dir, _, _ = cli_run
+    corpus_dir, model_path, _ = cli_run
     if argv[0] == "synth":
         base = ["synth", "--out", str(tmp_path / "c"), "--syllables", "2", "--duration", "0.5"]
-    else:
+    elif argv[0] == "train":
         base = ["train", "--manifest", str(corpus_dir / "manifest.txt"),
                 "--model-out", str(tmp_path / "m.json"), "--epochs", "1"]
+    else:
+        base = ["score", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
+                "--out", str(tmp_path / "m.json")]
     assert main(base + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -200,6 +230,15 @@ class TestTrainCommand:
         assert code == 5
         assert "test split is empty" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_syllable_split_with_no_test_recording_exits_five(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"  # 3 syllables per class at 0.875 put every recording in train
+        main(["synth", "--out", str(corpus_dir), "--syllables", "3", "--duration", "0.5"])
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(corpus_dir / "manifest.txt"), "--model-out", str(tmp_path / "m.json"),
+                     "--epochs", "1", "--split-by", "syllable", "--split-ratio", "0.875"]) == 5
+        assert capsys.readouterr().err == "error: test split is empty\n"
+        assert list(tmp_path.iterdir()) == [corpus_dir]
 
     @pytest.mark.parametrize("extra, where", [
         ([], "in epoch 1:"),  # the epoch's metrics are the first non-finite values
@@ -836,6 +875,13 @@ class TestConfigFile:
                             "--trace-out", str(trace_b), "--epochs", "2"]) == 0
         assert len(list(csv.DictReader(trace_b.read_text().splitlines()))) == 2
 
+    def test_negative_config_value_is_not_read_as_a_flag(self, tmp_path):
+        cfg = tmp_path / "neg.json"  # -1e-05 once reached argparse as a flag of its own, and exited 2
+        cfg.write_text(json.dumps({"tilt": -1e-05, "syllables": 1, "duration": 0.5}))
+        assert main(["synth", "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+        assert main(["synth", "--out", str(tmp_path / "b"), "--tilt=-1e-05", "--syllables", "1", "--duration", "0.5"]) == 0
+        assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+
     def test_missing_config_exits_three(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--config", str(tmp_path / "nope.json")]) == 3
@@ -858,6 +904,18 @@ class TestConfigFile:
             assert main([command, "--config", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: config {bad}: key '{key}' takes") and err.count("\n") == 1
+        inner = tmp_path / "inner.json"  # a config key naming another config was once dropped
+        inner.write_text(json.dumps({"patients": 3}))
+        for key, value in [("config", str(inner)), ("conf", str(inner)), ("config", True)]:
+            bad.write_text(json.dumps({key: value, "syllables": 1, "duration": 0.5}))
+            assert main(["synth", "--out", str(tmp_path / "c"), "--config", str(bad)]) == 2
+            assert capsys.readouterr().err == (f"error: config {bad}: key {key!r} would be a second --config; "
+                                               "only one may be given\n")
+            assert not (tmp_path / "c").exists()
+        for spelling in (["--conf", str(inner)], [f"--confi={inner}"]):  # argparse reads these as --config
+            assert main(["synth", "--out", str(tmp_path / "c"), "--syllables", "1", *spelling]) == 2
+            assert capsys.readouterr().err == f"error: --config must be spelled out in full; {inner} was not read\n"
+            assert not (tmp_path / "c").exists()
         first, second = tmp_path / "a.json", tmp_path / "b.json"  # a later config was once ignored
         first.write_text("{}")
         second.write_text(json.dumps({"patients": 3}))
@@ -876,8 +934,128 @@ class TestConfigFile:
         assert main(["eval", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
                      "--config", str(cfg), "--out", str(out)]) == 0
         assert [row["cohort"] for row in csv.DictReader(out.read_text().splitlines())] == ["all", "individual:P001"]
+        # an explicit repeatable flag, in any spelling argparse reads as it, replaces the config's list
+        for spelling, cohorts in [(["--cohort", "sex:m"], ["sex:m"]), (["--cohort=sex:m"], ["sex:m"]),
+                                  (["--coh", "sex:m"], ["sex:m"]),
+                                  (["--cohort", "sex:m", "--cohort", "all"], ["sex:m", "all"])]:
+            assert main(["eval", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.txt"),
+                         "--config", str(cfg), "--out", str(out), *spelling]) == 0
+            assert [row["cohort"] for row in csv.DictReader(out.read_text().splitlines())] == cohorts
         # the flags that take a list are the ones the parser declares repeatable
-        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
         appended = {name: {a.option_strings[0][2:] for a in sub._actions if isinstance(a, argparse._AppendAction)}
-                    for name, sub in commands.items()}
+                    for name, sub in _subparsers().items()}
         assert {name: flags for name, flags in appended.items() if flags} == cli._REPEATABLE
+
+
+# The numeric flags whose values the program bounds from above. Only these draw huge values:
+# a huge value that passes every bound (--patients, --epochs) would ask for memory or time.
+UPPER_BOUNDED = {"--sample-rate", "--duration", "--articulation-spread", "--snr-clean", "--snr-worst",
+                 "--split-ratio", "--hop", "--gate-ratio"}
+NUMERIC_FLAGS = [(name, action.option_strings[0], action.type) for name, sub in _subparsers().items()
+                 for action in sub._actions if action.type in (int, float)]
+EDGE_KINDS = ["zero", "negative", "nan", "inf", "huge"]
+
+# A valid value for every flag of synth and train but the output paths and --config; a
+# switch draws whether it is given. --syllables and --epochs are always drawn, to keep each
+# run small.
+SYNTH_DRAWS = {
+    "--patients": st.integers(1, 2),
+    "--sample-rate": st.sampled_from([8000, 16000]), "--duration": st.sampled_from([0.4, 0.5]),
+    "--formant-shift": st.floats(0, 400), "--tilt": st.floats(-12, 12),
+    "--snr-clean": st.floats(20, 50), "--snr-worst": st.floats(0, 20),
+    "--articulation-spread": st.floats(0, 0.4), "--seed": st.integers(0, 99),
+    "--severities": st.sampled_from(["0.9,0.1", "0.5"]), "--expert-marks": st.booleans(),
+}
+TRAIN_DRAWS = {
+    "--cohort": st.sampled_from(["all", "individual:P001", "sex:m"]), "--batch-size": st.integers(8, 64),
+    "--learning-rate": st.floats(1e-4, 1e-2), "--seed": st.integers(0, 99), "--no-clip": st.booleans(),
+    "--split-ratio": st.floats(0.5, 0.9), "--split-by": st.sampled_from(["fragment", "syllable"]),
+    "--standardize": st.booleans(), "--drop-incomplete": st.booleans(),
+    "--hop": st.sampled_from([256, 512]), "--window": st.sampled_from(["hann", "rect"]),
+    "--gate-ratio": st.floats(1e-5, 1e-2), "--log-floor": st.floats(1e-12, 1e-6),
+    "--fragment-hop": st.integers(4, 8), "--no-log": st.booleans(),
+}
+ALWAYS_DRAWN = {"synth": {"--syllables": st.integers(1, 3)}, "train": {"--epochs": st.integers(1, 2)}}
+
+
+def _quiet_main(argv):
+    """main's exit code, argparse's SystemExit included, and what it wrote to stderr."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+class TestParserContract:
+    """What build_parser() declares: a flag for every config field, and a clean exit for any
+    value of a numeric flag."""
+
+    @pytest.mark.parametrize("command, classes, argv", [
+        ("synth", [synth.SynthSpec], ["--out", "c"]),
+        ("train", [nn.TrainConfig, DspConfig], ["--manifest", "m.txt", "--model-out", "m.json"]),
+    ])
+    def test_every_config_field_has_exactly_one_flag(self, command, classes, argv):
+        dests = [action.dest for action in _subparsers()[command]._actions if action.option_strings]
+        args = build_parser().parse_args([command, *argv])
+        for cls in classes:
+            for f in dataclasses.fields(cls):  # frame_len is fixed at 1024, so no flag sets it
+                assert dests.count(f.name) == (f.name != "frame_len"), f"{cls.__name__}.{f.name}"
+            assert cli._config(cls, args) == cls()
+
+    def test_draws_cover_every_flag(self):
+        assert UPPER_BOUNDED <= {flag for _, flag, _ in NUMERIC_FLAGS}
+        skipped = {"-h", "--out", "--manifest", "--model-out", "--trace-out", "--config"}
+        for command, draws in [("synth", SYNTH_DRAWS), ("train", TRAIN_DRAWS)]:
+            flags = {action.option_strings[0] for action in _subparsers()[command]._actions}
+            assert flags - skipped == set(draws) | set(ALWAYS_DRAWN[command])
+
+    @pytest.mark.parametrize("command, flag, kind, edge", [
+        (command, flag, kind, edge) for command, flag, kind in NUMERIC_FLAGS
+        for edge in EDGE_KINDS if edge != "huge" or flag in UPPER_BOUNDED
+    ], ids=lambda v: getattr(v, "__name__", v))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flag_edge_value_exits_cleanly(self, cli_run, command, flag, kind, edge, data):
+        """0, a negative, nan, inf and (for a bounded flag) a huge value each give an exit code
+        in {0, 2, 3, 4, 5}; an uncaught exception fails the test with its traceback."""
+        negative = st.integers(-10**6, -1).map(str) | (st.floats(-1e6, -1e-6).map(repr) if kind is float else st.nothing())
+        value = data.draw({"zero": st.just("0"), "negative": negative,
+                           "nan": st.sampled_from(["nan", "-nan"]), "inf": st.sampled_from(["inf", "-inf"]),
+                           "huge": st.sampled_from(["1e300", str(2**64)])}[edge], label=flag)
+        corpus_dir, _, _ = cli_run
+        with tempfile.TemporaryDirectory() as tmp:
+            base = {"synth": ["synth", "--out", f"{tmp}/c", "--syllables", "1", "--duration", "0.5"],
+                    "train": ["train", "--manifest", str(corpus_dir / "manifest.txt"),
+                              "--model-out", f"{tmp}/m.json", "--epochs", "1"]}[command]
+            code, err = _quiet_main([*base, f"{flag}={value}"])
+        assert code in (0, 2, 3, 4, 5) and "Traceback" not in err
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_config_file_writes_the_bytes_of_the_same_flags(self, data):
+        """A --config file holding a drawn flag set gives the exit code and the files that the
+        same flags on the command line give, for synth and for a train on its corpus. A
+        negative value such as --tilt=-1e-05 once read as a flag when it came from a config."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for command, draws in [("synth", SYNTH_DRAWS), ("train", TRAIN_DRAWS)]:
+                flags = data.draw(st.fixed_dictionaries(ALWAYS_DRAWN[command], optional=draws), label=command)
+                (tmp / f"{command}.json").write_text(json.dumps({flag[2:]: value for flag, value in flags.items()}))
+                argv = [flag if value is True else f"{flag}={value}" for flag, value in flags.items() if value is not False]
+                outputs = []
+                for side, extra in [("flags", argv), ("config", ["--config", str(tmp / f"{command}.json")])]:
+                    out = tmp / command / side
+                    where = (["--out", str(out)] if command == "synth" else
+                             ["--manifest", str(tmp / "synth" / "flags" / "manifest.txt"),
+                              "--model-out", str(out / "m.json")])
+                    code, _ = _quiet_main([command, *where, *extra])
+                    outputs.append((code, _tree(out) if out.exists() else None))
+                assert outputs[0] == outputs[1]
+                if outputs[0][0] != 0:
+                    break

@@ -269,6 +269,15 @@ class TestSplitByGroups:
                 members = [i for i, k in enumerate(groups) if k == g]
                 assert all(i in side for i in members)
 
+    @pytest.mark.parametrize("ratio, empty", [(0.875, "test"), (0.1, "train")])
+    def test_a_side_with_no_group_is_empty(self, ratio, empty):
+        """Three groups per class at 0.875 put every group in train; concatenating none once raised."""
+        groups = ["a", "a", "b", "c", "d", "d", "e", "f"]
+        split = split_by_groups(groups, np.array([1, 1, 1, 1, 0, 0, 0, 0]), ratio=ratio)
+        sides = {"train": split.train_indices, "test": split.test_indices}
+        assert sides[empty].dtype == np.int64 and sides[empty].size == 0
+        assert sorted(np.concatenate(list(sides.values()))) == list(range(len(groups)))
+
     def test_mixed_label_group_rejected(self):
         with pytest.raises(ValueError, match="mixes"):
             split_by_groups(["a", "a", "b", "c", "d"], np.array([1, 0, 1, 0, 1]))

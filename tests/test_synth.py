@@ -77,6 +77,21 @@ class TestSpec:
     def test_largest_recording_is_accepted(self):
         SynthSpec(duration_s=30.0, sample_rate_hz=192000)  # constructing renders nothing
 
+    @pytest.mark.parametrize("kwargs", [
+        {"snr_clean_db": 200.001},
+        {"snr_worst_db": -200.001},
+        {"snr_clean_db": 1e6},  # 10 ** (snr / 20) overflowed a Python float
+        {"snr_worst_db": -6254.0},  # the noise gain overflowed to inf
+    ])
+    def test_refuses_snr_beyond_200_db(self, kwargs):
+        with pytest.raises(ValueError, match=r"SNRs must lie in \[-200, 200\] dB"):
+            SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("severity", [0.0, 1.0])
+    def test_extreme_snrs_render_finite_audio(self, severity):
+        spec = SynthSpec(duration_s=0.5, snr_clean_db=200.0, snr_worst_db=-200.0)
+        assert np.isfinite(synth_syllable(spec, "P001", 3, "s01", severity).samples).all()
+
 
 class TestSeverityModel:
     def test_session_severities(self):
